@@ -153,8 +153,9 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Var:
 
 def exp(a: ArrayLike) -> Var:
     a = as_var(a)
-    out = Var(np.exp(a.data), (a,))
-    out._vjp = lambda g: (g * out.data,)
+    y = np.exp(a.data)
+    out = Var(y, (a,))
+    out._vjp = lambda g: (g * y,)  # captures the array, not `out`: no self-cycle
     return out
 
 
@@ -167,8 +168,9 @@ def log(a: ArrayLike) -> Var:
 
 def tanh(a: ArrayLike) -> Var:
     a = as_var(a)
-    out = Var(np.tanh(a.data), (a,))
-    out._vjp = lambda g: (g * (1.0 - out.data * out.data),)
+    y = np.tanh(a.data)
+    out = Var(y, (a,))
+    out._vjp = lambda g: (g * (1.0 - y * y),)
     return out
 
 

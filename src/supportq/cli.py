@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -580,6 +581,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--format", choices=["esconv", "plain"], default="esconv")
 
     args = parser.parse_args(argv)
+    # library warnings (e.g. sessions dropped on ingest) go to stderr, unless
+    # the embedding program has configured logging already
+    if not logging.getLogger().handlers:
+        logging.basicConfig(stream=sys.stderr, format="%(message)s")
     try:
         cfg = _config_from_args(args)
         if cfg.deterministic:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -30,8 +29,7 @@ from .core import (
 )
 
 logger = logging.getLogger(__name__)
-if not logger.handlers:
-    logger.addHandler(logging.StreamHandler(sys.stderr))
+logger.addHandler(logging.NullHandler())
 
 SEEKER_ALIASES = frozenset({"seeker", "usr", "user", "speaker", "help-seeker"})
 SUPPORTER_ALIASES = frozenset({"supporter", "sys", "system", "listener", "helper", "assistant"})

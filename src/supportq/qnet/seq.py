@@ -6,8 +6,16 @@ assigns to the answer tokens at their predicting positions.  Strict causal
 masking means every output position depends only on earlier tokens, so a
 whole sequence yields its per-position predictions in one pass.
 
-Gradients are analytic (reverse-mode on the autodiff tape) and are verified
-against central finite differences in the test suite.
+Q values are computed by a forward-only numpy kernel that shares the prompt
+between actions: one pass over BOS + prompt keeps every layer's keys and
+values, then each action runs only its answer tokens (all but the last, 1-3
+rows) against that cache, and the head and log-softmax run only for the rows
+that predict the answer.  Actions are grouped by their encoded prompt, since
+`encode_pair` may drop a different amount of history per answer length.
+
+Gradients are analytic (reverse-mode on the autodiff tape, which is built
+only by `grad_q`, `loss_and_grads` and `forward`) and are verified against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -96,6 +104,39 @@ def init_params(cfg: SeqConfig, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+def causal_mask(n_rows: int, n_cols: int, dtype) -> np.ndarray:
+    """Additive mask for the last `n_rows` positions of an `n_cols`-long
+    sequence: row i may attend to columns 0 .. n_cols - n_rows + i."""
+    return np.triu(np.full((n_rows, n_cols), -1e30, dtype=dtype), k=n_cols - n_rows + 1)
+
+
+# Forward-only numpy counterparts of the tape composites, same operation order.
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    inv_n = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    return centered * (var + eps) ** -0.5 * gain + bias
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    inner = (x + x * x * x * 0.044715) * ad._GELU_C
+    return x * (np.tanh(inner) + 1.0) * 0.5
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _answer_span(encoded: EncodedPair) -> tuple[int, int]:
+    start, end = encoded.action_span
+    if start < 1 or end <= start:
+        raise ValueError("action span must be nonempty and after the BOS token")
+    return start, end
+
+
 class SeqScorer:
     backend = "seq"
 
@@ -118,7 +159,6 @@ class SeqScorer:
                 if tuple(arr.shape) != expected[n]:
                     raise ValueError(f"shape mismatch for {n}: {arr.shape} vs {expected[n]}")
         self.params = params
-        self._masks: dict[int, np.ndarray] = {}
 
     def clone(self) -> "SeqScorer":
         return SeqScorer(
@@ -136,23 +176,20 @@ class SeqScorer:
 
     # -- forward ------------------------------------------------------------
 
-    def _mask(self, t: int) -> np.ndarray:
-        mask = self._masks.get(t)
-        if mask is None:
-            mask = np.triu(np.full((t, t), -1e30, dtype=self.config.np_dtype), k=1)
-            self._masks[t] = mask
-        return mask
-
-    def _next_token_logprobs(self, tokens: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
-        """(T, V) log-probs; row j is the distribution over token j+1."""
+    def _check_tokens(self, tokens: np.ndarray) -> None:
         cfg = self.config
-        t = len(tokens)
-        if t > cfg.n_ctx:
-            raise ValueError(f"sequence length {t} exceeds context size {cfg.n_ctx}")
+        if len(tokens) > cfg.n_ctx:
+            raise ValueError(f"sequence length {len(tokens)} exceeds context size {cfg.n_ctx}")
         if tokens.max() >= cfg.vocab_size or tokens.min() < 0:
             raise ValueError("token id outside the vocabulary")
+
+    def _next_token_logprobs(self, tokens: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
+        """(T, V) log-probs on the tape; row j is the distribution over token j+1."""
+        cfg = self.config
+        self._check_tokens(tokens)
+        t = len(tokens)
         x = ad.take_rows(pv["tok_emb"], tokens) + ad.take_rows(pv["pos_emb"], np.arange(t))
-        mask = self._mask(t)
+        mask = causal_mask(t, t, cfg.np_dtype)
         n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         for i in range(cfg.n_layers):
             p = lambda n: pv[f"blocks.{i}.{n}"]
@@ -187,27 +224,92 @@ class SeqScorer:
         out[1:] = preds[:-1]
         return out
 
+    # -- forward-only Q kernel ------------------------------------------------
+
+    def _extend(
+        self, tokens: np.ndarray, past: list[tuple[np.ndarray, np.ndarray]], last_row_only: bool = False
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """Run `tokens` through the blocks after the positions cached in `past`.
+
+        `past` holds one (keys, values) pair per layer, each (H, P, dh), for
+        the P tokens before these; it is empty for a prompt.  Returns the
+        final hidden rows (before ln_f) and every layer's keys and values for
+        all P + t positions.  With `last_row_only` the last block computes
+        queries, output projection and MLP for the final row alone.
+        """
+        cfg, prm = self.config, self.params
+        t, start = len(tokens), (past[0][0].shape[1] if past else 0)
+        n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        split = lambda m: m.reshape(len(m), n_heads, dh).swapaxes(0, 1)
+        x = prm["tok_emb"][tokens] + prm["pos_emb"][start : start + t]
+        mask = causal_mask(t, start + t, cfg.np_dtype)
+        present = []
+        for i in range(cfg.n_layers):
+            p = lambda n: prm[f"blocks.{i}.{n}"]
+            h = _layer_norm(x, p("ln1.g"), p("ln1.b"))
+            k = split(h @ p("attn.wk") + p("attn.bk"))
+            v = split(h @ p("attn.wv") + p("attn.bv"))
+            if past:
+                k = np.concatenate((past[i][0], k), axis=1)
+                v = np.concatenate((past[i][1], v), axis=1)
+            present.append((k, v))
+            if last_row_only and i == cfg.n_layers - 1:
+                x, h, mask = x[-1:], h[-1:], mask[-1:]
+            q = split(h @ p("attn.wq") + p("attn.bq"))
+            scores = q @ k.swapaxes(1, 2)
+            scores *= 1.0 / math.sqrt(dh)
+            scores += mask
+            scores -= np.max(scores, axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            ctx = (scores @ v).swapaxes(0, 1).reshape(len(x), cfg.d_model)
+            x = x + (ctx @ p("attn.wo") + p("attn.bo"))
+            h2 = _layer_norm(x, p("ln2.g"), p("ln2.b"))
+            x = x + (_gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
+        return x, present
+
+    def _answer_q(self, last: np.ndarray, cache: list, answer: np.ndarray) -> float:
+        """Mean log-probability of `answer` after a prompt whose final hidden
+        row is `last` and whose keys and values are `cache`."""
+        prm = self.params
+        hidden = last
+        if len(answer) > 1:
+            hidden = np.concatenate((last, self._extend(answer[:-1], cache)[0]))
+        logits = _layer_norm(hidden, prm["ln_f.g"], prm["ln_f.b"]) @ prm["head.w"] + prm["head.b"]
+        picked = _log_softmax(logits)[np.arange(len(answer)), answer]
+        return float(picked.sum() * (1.0 / len(answer)))
+
+    def _q_encoded(self, pairs: list[EncodedPair]) -> list[float]:
+        """Q of each encoded pair, with one prompt pass per distinct prompt."""
+        groups: dict[bytes, list[int]] = {}
+        for j, pair in enumerate(pairs):
+            self._check_tokens(pair.tokens)
+            groups.setdefault(pair.tokens[: _answer_span(pair)[0]].tobytes(), []).append(j)
+        values = [0.0] * len(pairs)
+        for members in groups.values():
+            first = pairs[members[0]]
+            last, cache = self._extend(first.tokens[: first.action_span[0]], [], last_row_only=True)
+            for j in members:
+                values[j] = self._answer_q(last, cache, pairs[j].tokens[slice(*pairs[j].action_span)])
+        return values
+
     # -- Q interface ----------------------------------------------------------
 
     def _q_var(self, encoded: EncodedPair, pv: dict[str, ad.Var]) -> ad.Var:
-        start, end = encoded.action_span
-        if start < 1 or end <= start:
-            raise ValueError("action span must be nonempty and after the BOS token")
+        start, end = _answer_span(encoded)
         preds = self._next_token_logprobs(encoded.tokens, pv)
         span = np.arange(start, end)
         picked = ad.take_pairs(preds, span - 1, encoded.tokens[span])
         return ad.vmean(picked)
 
-    def q_of_encoded(self, encoded: EncodedPair) -> float:
-        return float(self._q_var(encoded, self._param_vars()).data)
-
     def q_value(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
     ) -> float:
-        return self.q_of_encoded(encode_pair(state, action, catalog, vocab, self.window))
+        return self._q_encoded([encode_pair(state, action, catalog, vocab, self.window)])[0]
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        values = np.array([self.q_value(state, a, catalog, vocab) for a in catalog.ids])
+        pairs = [encode_pair(state, a, catalog, vocab, self.window) for a in catalog.ids]
+        values = np.array(self._q_encoded(pairs))
         if not np.isfinite(values).all():
             raise FloatingPointError("non-finite Q value")
         return values

@@ -1,7 +1,9 @@
 """Independent brute-force oracles the library metrics are checked against.
 
 Everything here is written from the metric definitions with plain loops and
-dictionaries, deliberately sharing no code with supportq.metrics.
+dictionaries, deliberately sharing no code with supportq.metrics.  The one
+scorer oracle, `oracle_seq_q_all`, is the reference slow path of the `seq`
+Q kernel: a full tape forward pass per action.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from supportq.encoding import encode_pair
 
 
 def words(text):
@@ -223,3 +227,13 @@ def oracle_finite_horizon_q(succ_idx, succ_p, rewards, gamma, horizon):
         q = q_new
         v = [max(row) for row in q]
     return q
+
+
+def oracle_seq_q_all(scorer, state, catalog, vocab):
+    """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer
+    and run one full forward pass on the autodiff tape over the whole sequence."""
+    values = []
+    for action in catalog.ids:
+        pair = encode_pair(state, action, catalog, vocab, scorer.window)
+        values.append(float(scorer._q_var(pair, scorer._param_vars()).data))
+    return values

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -133,3 +136,17 @@ def test_operator_sugar_matches_functions():
     b = ad.Var(np.array([[3.0], [4.0]]))
     out = ((a @ b) * 2.0 - 1.0) / 2.0
     assert out.data.item() == pytest.approx((1 * 3 + 2 * 4) * 2 / 2 - 0.5)
+
+
+@pytest.mark.parametrize("op", [ad.exp, ad.tanh])
+def test_forward_tape_is_freed_without_the_cyclic_collector(op):
+    # a node whose VJP closure referenced its own Var would form a cycle
+    # and keep the whole tape alive until gc runs
+    gc.disable()
+    try:
+        out = op(ad.Var(np.linspace(-1.0, 1.0, 5)))
+        ref = weakref.ref(out.data)
+        del out
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -3,9 +3,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supportq
 from supportq.cli import ConfigError, RunConfig, load_run_config, main
 from supportq.env import StagedEnv, StagedEnvConfig
 from supportq.ingest import save_episodes
@@ -228,3 +233,21 @@ class TestIngestStatsCommand:
         rc = main(["ingest-stats", "--data", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_library_warnings_reach_stderr(self, tmp_path, catalog):
+        env = StagedEnv(StagedEnvConfig(seed=9), catalog=catalog)
+        corpus = tmp_path / "corpus.json"
+        save_episodes(corpus, env.demo_episodes(2, seed=1), catalog)
+        sessions = json.loads(corpus.read_text())
+        sessions.append({"situation": "s", "emotion_type": "fear",
+                         "dialog": [{"speaker": "seeker", "content": "hi"}]})
+        corpus.write_text(json.dumps(sessions))
+        src = str(Path(supportq.__file__).resolve().parents[1])
+        env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "supportq.cli", "ingest-stats", "--data", str(corpus),
+             "--out-dir", str(tmp_path / "stats")],
+            capture_output=True, text=True, env=env_vars, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dropped 1 session" in proc.stderr

@@ -20,6 +20,11 @@ from supportq.ingest import (
 )
 
 
+def test_library_adds_no_output_handler():
+    handlers = logging.getLogger("supportq.ingest").handlers
+    assert handlers and all(isinstance(h, logging.NullHandler) for h in handlers)
+
+
 def write(tmp_path, payload, name="corpus.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))

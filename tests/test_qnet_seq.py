@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from supportq.core import DialogueState, Emotion, Speaker, Turn
 from supportq.encoding import encode_pair
 from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
 
 from .conftest import fd_gradient, rel_error
+from .oracles import oracle_seq_q_all
 
 
 def zeroed(scorer: SeqScorer) -> SeqScorer:
@@ -235,3 +238,60 @@ def test_select_strategy_tie_breaks_to_smallest_id(bare_state, catalog, small_vo
     assert argmax_smallest_id(np.array([0.5, 0.9, 0.9, 0.2, 0.9])) == 2
     constant = zeroed(seq_scorer)
     assert constant.select_strategy(bare_state, catalog, small_vocab) == 1
+
+
+class TestSharedPromptKernel:
+    """q_all's one-prompt-pass kernel against the K-pass tape oracle."""
+
+    @pytest.mark.parametrize("state_name", ["bare_state", "tiny_state"])
+    def test_matches_k_pass_oracle(self, request, state_name, seq_scorer, catalog, small_vocab):
+        state = request.getfixturevalue(state_name)
+        np.testing.assert_allclose(
+            seq_scorer.q_all(state, catalog, small_vocab),
+            oracle_seq_q_all(seq_scorer, state, catalog, small_vocab),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_window_boundary_splits_prompts(self, seq_scorer, tiny_state, catalog, small_vocab):
+        # one token of slack: the 2-token answer " (1)" keeps the whole history,
+        # the 4-token answers " (2)" .. " (8)" must drop turns to fit
+        window = len(encode_pair(tiny_state, 1, catalog, small_vocab).tokens) + 1
+        scorer = SeqScorer(seq_scorer.config, params=seq_scorer.params, window=window)
+        pairs = [encode_pair(tiny_state, a, catalog, small_vocab, window) for a in (1, 2)]
+        assert pairs[0].action_span[0] > pairs[1].action_span[0]
+        qs = scorer.q_all(tiny_state, catalog, small_vocab)
+        np.testing.assert_allclose(
+            qs, oracle_seq_q_all(scorer, tiny_state, catalog, small_vocab), rtol=0, atol=1e-12
+        )
+        singles = [scorer.q_value(tiny_state, a, catalog, small_vocab) for a in catalog.ids]
+        np.testing.assert_array_equal(qs, singles)
+
+    def test_float32_config(self, tiny_state, catalog, small_vocab):
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_ctx=512, dtype="float32")
+        scorer = SeqScorer(cfg, seed=3)
+        np.testing.assert_allclose(
+            scorer.q_all(tiny_state, catalog, small_vocab),
+            oracle_seq_q_all(scorer, tiny_state, catalog, small_vocab),
+            rtol=0,
+            atol=1e-5,
+        )
+
+    def test_q_all_memory_stays_bounded_on_a_long_prompt(self, catalog, small_vocab):
+        history = tuple(
+            Turn(Speaker.SEEKER if i % 2 == 0 else Speaker.SUPPORTER, f"turn {i}: I feel stuck.")
+            for i in range(40)
+        )
+        state = DialogueState(
+            description="job stress", emotion=Emotion("anxiety"), history=history, query="What should I do?"
+        )
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=64, n_heads=2, n_layers=2, n_ctx=1024)
+        scorer = SeqScorer(cfg, seed=0, window=1024)
+        assert len(encode_pair(state, 2, catalog, small_vocab, scorer.window).tokens) >= 600
+        tracemalloc.start()
+        try:
+            scorer.q_all(state, catalog, small_vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20

@@ -51,6 +51,7 @@ from .metrics import (
     confusion_matrix,
     distinct2,
     macro_f1,
+    per_class_f1,
     rouge_l,
     stage_upper_mass,
     transition_matrix,
@@ -115,21 +116,15 @@ class RunConfig:
             raise ConfigError("dataset mode needs dataset_path")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma must be in [0, 1)")
+        if self.window <= 0:
+            raise ConfigError("window must be positive")
 
     def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            gamma=self.gamma,
-            learning_rate=self.learning_rate or None,
-            batch_size=self.batch_size,
-            target_sync_every=self.target_sync_every,
-            epochs=self.epochs,
-            window=self.window,
-            seed=self.seed,
-            grad_clip=self.grad_clip,
-            buffer_capacity=self.buffer_capacity,
-            sample_in_order=self.sample_in_order,
-            rollout_episodes=self.rollout_episodes,
-        )
+        """The training settings, from the fields this config shares with TrainerConfig."""
+        shared = {
+            f.name: getattr(self, f.name) for f in dataclasses.fields(TrainerConfig) if f.name in _FIELDS
+        }
+        return TrainerConfig(**{**shared, "learning_rate": self.learning_rate or None})
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -394,6 +389,7 @@ def _per_strategy_csv(path, pred, gold, hyps, refs, catalog) -> None:
     log_s = np.log(strengths)
     centered = np.abs(log_s - log_s.mean())
     counts = confusion_matrix(pred, gold, k)
+    f1 = per_class_f1(counts)
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(
@@ -403,8 +399,6 @@ def _per_strategy_csv(path, pred, gold, hyps, refs, catalog) -> None:
             c = s.id - 1
             support = int(counts[:, c].sum())
             recall = counts[c, c] / support if support else 0.0
-            denom = 2 * counts[c, c] + (counts[c, :].sum() - counts[c, c]) + (support - counts[c, c])
-            f1 = 2 * counts[c, c] / denom if denom else 0.0
             idx = [i for i, g in enumerate(gold) if g == s.id]
             sub_h = [hyps[i] for i in idx]
             sub_r = [refs[i] for i in idx]
@@ -414,7 +408,7 @@ def _per_strategy_csv(path, pred, gold, hyps, refs, catalog) -> None:
                 s.stage.value,
                 support,
                 f"{recall:.6f}",
-                f"{f1:.6f}",
+                f"{f1[c]:.6f}",
                 f"{centered[c]:.6f}",
                 f"{bleu2(sub_h, sub_r):.6f}" if idx else "0",
                 f"{rouge_l(sub_h, sub_r):.6f}" if idx else "0",

@@ -192,10 +192,6 @@ class EncodedPair:
     tokens: np.ndarray
     action_span: tuple[int, int]
 
-    @property
-    def answer_length(self) -> int:
-        return self.action_span[1] - self.action_span[0]
-
 
 def encode_pair(
     state: DialogueState,

@@ -53,17 +53,16 @@ def confusion_matrix(pred: Sequence[int], gold: Sequence[int], k: int) -> np.nda
     return counts
 
 
+def per_class_f1(counts: np.ndarray) -> np.ndarray:
+    """F1 of each class from a `confusion_matrix`; a class absent everywhere scores 0."""
+    tp = np.diag(counts)
+    denom = 2 * tp + (counts.sum(axis=1) - tp) + (counts.sum(axis=0) - tp)
+    return np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
+
+
 def macro_f1(pred: Sequence[int], gold: Sequence[int], k: int) -> float:
     """Unweighted mean of per-class F1; classes absent everywhere count as 0."""
-    counts = confusion_matrix(pred, gold, k)
-    scores = []
-    for c in range(k):
-        tp = counts[c, c]
-        fp = counts[c, :].sum() - tp
-        fn = counts[:, c].sum() - tp
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    return float(np.mean(per_class_f1(confusion_matrix(pred, gold, k))))
 
 
 def bt_strengths(

@@ -1,7 +1,8 @@
 """Trainable Q-scorers over dialogue states.
 
 Two interchangeable backends implement the same operations (`q_value`,
-`q_all`, `select_strategy`, `grad_q`, `loss_and_grads`):
+`q_all`, `select_strategy`, `grad_q`, `loss_and_grads`), each a subclass
+of the `Scorer` base in `base.py`, which holds the code they share:
 
 * `SeqScorer` -- a small causal transformer; Q(s, a) is the mean
   log-probability of the appended answer tokens " (k)".

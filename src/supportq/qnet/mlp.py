@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..core import DEFAULT_EMOTIONS, DialogueState, Stage, StrategyCatalog
-from .base import BackendMismatch, argmax_smallest_id, uniform_init
+from .base import DtypeConfig, ParamSpec, Scorer
 
 _STAGE_SLOT = {None: 0, Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: 4}
 
@@ -75,97 +74,36 @@ def extract_features(
 
 
 @dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(DtypeConfig):
     n_actions: int
     features: FeatureConfig = field(default_factory=FeatureConfig)
     hidden: tuple[int, ...] = (64, 64)
     dtype: str = "float64"
 
-    def __post_init__(self) -> None:
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"unsupported dtype {self.dtype!r}")
 
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
-
-
-def mlp_param_specs(cfg: MlpConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    dims = [feature_dim(cfg.features, cfg.n_actions), *cfg.hidden, 1]
-    specs: list[tuple[str, tuple[int, ...], str]] = []
-    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        specs.append((f"layers.{i}.w", (d_in, d_out), "weight"))
-        specs.append((f"layers.{i}.b", (d_out,), "zero"))
-    return specs
-
-
-def init_mlp_params(cfg: MlpConfig, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    dt = cfg.np_dtype
-    params: dict[str, np.ndarray] = {}
-    for name, shape, kind in mlp_param_specs(cfg):
-        if kind == "weight":
-            params[name] = uniform_init(rng, shape, 1.0 / math.sqrt(shape[0]), dt)
-        else:
-            params[name] = np.zeros(shape, dtype=dt)
-    return params
-
-
-class MlpScorer:
+class MlpScorer(Scorer):
     backend = "mlp"
 
-    def __init__(
-        self,
-        config: MlpConfig,
-        seed: int = 0,
-        params: Optional[dict[str, np.ndarray]] = None,
-        window: int = 2048,
-    ):
-        self.config = config
-        self.window = window  # unused; kept for a uniform constructor signature
-        if params is None:
-            params = init_mlp_params(config, seed)
-        else:
-            expected = {n: s for n, s, _ in mlp_param_specs(config)}
-            if set(params) != set(expected):
-                raise ValueError("parameter names do not match the configuration")
-            for n, arr in params.items():
-                if tuple(arr.shape) != expected[n]:
-                    raise ValueError(f"shape mismatch for {n}: {arr.shape} vs {expected[n]}")
-        self.params = params
-        self._n_layers = len(config.hidden) + 1
-
-    def clone(self) -> "MlpScorer":
-        return MlpScorer(
-            self.config,
-            params={n: a.copy() for n, a in self.params.items()},
-            window=self.window,
-        )
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return self.params
-
-    def load_state_dict(self, params: dict[str, np.ndarray]) -> None:
-        for name in self.params:
-            self.params[name] = params[name].copy()
-
-    def _param_vars(self) -> dict[str, ad.Var]:
-        return {n: ad.Var(a) for n, a in self.params.items()}
+    @staticmethod
+    def param_specs(config: MlpConfig) -> list[ParamSpec]:
+        dims = [feature_dim(config.features, config.n_actions), *config.hidden, 1]
+        specs: list[ParamSpec] = []
+        for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+            specs.append((f"layers.{i}.w", (d_in, d_out), 1.0 / math.sqrt(d_in)))
+            specs.append((f"layers.{i}.b", (d_out,), "zero"))
+        return specs
 
     def _q_var(self, feats: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
         """(B,) Q values for a (B, F) feature batch."""
         x: ad.Var = ad.Var(feats.astype(self.config.np_dtype))
-        for i in range(self._n_layers):
+        for i in range(len(self.config.hidden) + 1):
             x = x @ pv[f"layers.{i}.w"] + pv[f"layers.{i}.b"]
-            if i < self._n_layers - 1:
+            if i < len(self.config.hidden):
                 x = ad.tanh(x)
         return ad.reshape(x, (feats.shape[0],))
 
     def _features(self, state: DialogueState, action: int, catalog: StrategyCatalog) -> np.ndarray:
         return extract_features(state, action, catalog, self.config.features)
-
-    def forward(self, tokens) -> np.ndarray:
-        raise BackendMismatch("token-level forward is only defined for the seq backend")
 
     def q_value(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> float:
         feats = self._features(state, action, catalog)[None, :]
@@ -173,23 +111,14 @@ class MlpScorer:
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
         feats = np.stack([self._features(state, a, catalog) for a in catalog.ids])
-        values = self._q_var(feats, self._param_vars()).data.astype(np.float64)
-        if not np.isfinite(values).all():
-            raise FloatingPointError("non-finite Q value")
-        return values
-
-    def select_strategy(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> int:
-        return argmax_smallest_id(self.q_all(state, catalog, vocab))
+        return self._finite(self._q_var(feats, self._param_vars()).data.astype(np.float64))
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None
     ) -> dict[str, np.ndarray]:
         pv = self._param_vars()
         q = ad.vmean(self._q_var(self._features(state, action, catalog)[None, :], pv))
-        ad.backward(q)
-        return {
-            n: (v.grad if v.grad is not None else np.zeros_like(v.data)) for n, v in pv.items()
-        }
+        return self._grads(q, pv)
 
     def loss_and_grads(
         self,
@@ -204,11 +133,4 @@ class MlpScorer:
         pv = self._param_vars()
         diff = self._q_var(feats, pv) - targets
         loss = ad.vmean(diff * diff)
-        ad.backward(loss)
-        grads = {
-            n: (v.grad if v.grad is not None else np.zeros_like(v.data)) for n, v in pv.items()
-        }
-        return float(loss.data), grads
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
+        return float(loss.data), self._grads(loss, pv)

@@ -21,7 +21,7 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,11 +29,11 @@ import numpy as np
 from .. import autodiff as ad
 from ..core import DialogueState, StrategyCatalog
 from ..encoding import EncodedPair, Vocabulary, encode_pair
-from .base import argmax_smallest_id, uniform_init
+from .base import DtypeConfig, ParamSpec, Scorer
 
 
 @dataclass(frozen=True)
-class SeqConfig:
+class SeqConfig(DtypeConfig):
     vocab_size: int
     d_model: int = 64
     n_heads: int = 2
@@ -44,64 +44,7 @@ class SeqConfig:
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"unsupported dtype {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
-
-
-def param_specs(cfg: SeqConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """(name, shape, init-kind) in the fixed order weights are created."""
-    d, h = cfg.d_model, 4 * cfg.d_model
-    specs: list[tuple[str, tuple[int, ...], str]] = [
-        ("tok_emb", (cfg.vocab_size, d), "weight"),
-        ("pos_emb", (cfg.n_ctx, d), "weight"),
-    ]
-    for i in range(cfg.n_layers):
-        b = f"blocks.{i}"
-        specs += [
-            (f"{b}.ln1.g", (d,), "one"),
-            (f"{b}.ln1.b", (d,), "zero"),
-            (f"{b}.attn.wq", (d, d), "weight"),
-            (f"{b}.attn.bq", (d,), "zero"),
-            (f"{b}.attn.wk", (d, d), "weight"),
-            (f"{b}.attn.bk", (d,), "zero"),
-            (f"{b}.attn.wv", (d, d), "weight"),
-            (f"{b}.attn.bv", (d,), "zero"),
-            (f"{b}.attn.wo", (d, d), "weight"),
-            (f"{b}.attn.bo", (d,), "zero"),
-            (f"{b}.ln2.g", (d,), "one"),
-            (f"{b}.ln2.b", (d,), "zero"),
-            (f"{b}.mlp.w1", (d, h), "weight"),
-            (f"{b}.mlp.b1", (h,), "zero"),
-            (f"{b}.mlp.w2", (h, d), "weight"),
-            (f"{b}.mlp.b2", (d,), "zero"),
-        ]
-    specs += [
-        ("ln_f.g", (d,), "one"),
-        ("ln_f.b", (d,), "zero"),
-        ("head.w", (d, cfg.vocab_size), "weight"),
-        ("head.b", (cfg.vocab_size,), "zero"),
-    ]
-    return specs
-
-
-def init_params(cfg: SeqConfig, seed: int) -> dict[str, np.ndarray]:
-    """Seeded uniform(-1/sqrt(d), 1/sqrt(d)) weights; zero biases, unit gains."""
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(cfg.d_model)
-    dt = cfg.np_dtype
-    params: dict[str, np.ndarray] = {}
-    for name, shape, kind in param_specs(cfg):
-        if kind == "weight":
-            params[name] = uniform_init(rng, shape, scale, dt)
-        elif kind == "one":
-            params[name] = np.ones(shape, dtype=dt)
-        else:
-            params[name] = np.zeros(shape, dtype=dt)
-    return params
+        super().__post_init__()
 
 
 def causal_mask(n_rows: int, n_cols: int, dtype) -> np.ndarray:
@@ -137,7 +80,7 @@ def _answer_span(encoded: EncodedPair) -> tuple[int, int]:
     return start, end
 
 
-class SeqScorer:
+class SeqScorer(Scorer):
     backend = "seq"
 
     def __init__(
@@ -147,32 +90,44 @@ class SeqScorer:
         params: Optional[dict[str, np.ndarray]] = None,
         window: int = 2048,
     ):
-        self.config = config
-        self.window = min(window, config.n_ctx)
-        if params is None:
-            params = init_params(config, seed)
-        else:
-            expected = {n: s for n, s, _ in param_specs(config)}
-            if set(params) != set(expected):
-                raise ValueError("parameter names do not match the configuration")
-            for n, arr in params.items():
-                if tuple(arr.shape) != expected[n]:
-                    raise ValueError(f"shape mismatch for {n}: {arr.shape} vs {expected[n]}")
-        self.params = params
+        super().__init__(config, seed, params, min(window, config.n_ctx))
 
-    def clone(self) -> "SeqScorer":
-        return SeqScorer(
-            self.config,
-            params={n: a.copy() for n, a in self.params.items()},
-            window=self.window,
-        )
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return self.params
-
-    def load_state_dict(self, params: dict[str, np.ndarray]) -> None:
-        for name in self.params:
-            self.params[name] = params[name].copy()
+    @staticmethod
+    def param_specs(cfg: SeqConfig) -> list[ParamSpec]:
+        """(name, shape, init) in the fixed order weights are created; weights
+        are uniform(-1/sqrt(d_model), 1/sqrt(d_model))."""
+        d, h, w = cfg.d_model, 4 * cfg.d_model, 1.0 / math.sqrt(cfg.d_model)
+        specs: list[ParamSpec] = [
+            ("tok_emb", (cfg.vocab_size, d), w),
+            ("pos_emb", (cfg.n_ctx, d), w),
+        ]
+        for i in range(cfg.n_layers):
+            b = f"blocks.{i}"
+            specs += [
+                (f"{b}.ln1.g", (d,), "one"),
+                (f"{b}.ln1.b", (d,), "zero"),
+                (f"{b}.attn.wq", (d, d), w),
+                (f"{b}.attn.bq", (d,), "zero"),
+                (f"{b}.attn.wk", (d, d), w),
+                (f"{b}.attn.bk", (d,), "zero"),
+                (f"{b}.attn.wv", (d, d), w),
+                (f"{b}.attn.bv", (d,), "zero"),
+                (f"{b}.attn.wo", (d, d), w),
+                (f"{b}.attn.bo", (d,), "zero"),
+                (f"{b}.ln2.g", (d,), "one"),
+                (f"{b}.ln2.b", (d,), "zero"),
+                (f"{b}.mlp.w1", (d, h), w),
+                (f"{b}.mlp.b1", (h,), "zero"),
+                (f"{b}.mlp.w2", (h, d), w),
+                (f"{b}.mlp.b2", (d,), "zero"),
+            ]
+        specs += [
+            ("ln_f.g", (d,), "one"),
+            ("ln_f.b", (d,), "zero"),
+            ("head.w", (d, cfg.vocab_size), w),
+            ("head.b", (cfg.vocab_size,), "zero"),
+        ]
+        return specs
 
     # -- forward ------------------------------------------------------------
 
@@ -207,9 +162,6 @@ class SeqScorer:
         x = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"])
         logits = x @ pv["head.w"] + pv["head.b"]
         return ad.log_softmax(logits, axis=-1)
-
-    def _param_vars(self) -> dict[str, ad.Var]:
-        return {n: ad.Var(a) for n, a in self.params.items()}
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """Per-position log-probabilities, shape (T, V).
@@ -309,15 +261,7 @@ class SeqScorer:
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
         pairs = [encode_pair(state, a, catalog, vocab, self.window) for a in catalog.ids]
-        values = np.array(self._q_encoded(pairs))
-        if not np.isfinite(values).all():
-            raise FloatingPointError("non-finite Q value")
-        return values
-
-    def select_strategy(
-        self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> int:
-        return argmax_smallest_id(self.q_all(state, catalog, vocab))
+        return self._finite(np.array(self._q_encoded(pairs)))
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
@@ -325,10 +269,7 @@ class SeqScorer:
         """Analytic gradient of q_value with respect to every parameter."""
         pv = self._param_vars()
         q = self._q_var(encode_pair(state, action, catalog, vocab, self.window), pv)
-        ad.backward(q)
-        return {
-            n: (v.grad if v.grad is not None else np.zeros_like(v.data)) for n, v in pv.items()
-        }
+        return self._grads(q, pv)
 
     def loss_and_grads(
         self,
@@ -346,11 +287,4 @@ class SeqScorer:
             se = (q - float(target)) ** 2.0
             total = se if total is None else total + se
         loss = total * (1.0 / len(items))
-        ad.backward(loss)
-        grads = {
-            n: (v.grad if v.grad is not None else np.zeros_like(v.data)) for n, v in pv.items()
-        }
-        return float(loss.data), grads
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)
+        return float(loss.data), self._grads(loss, pv)

@@ -260,9 +260,3 @@ class RemoteJudge:
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps({"score": value}))
         tmp.replace(path)
-
-
-def remote_judge_score(
-    config: RemoteJudgeConfig, state: DialogueState, action: int, response: str
-) -> int:
-    return RemoteJudge(config).score(state, action, response)

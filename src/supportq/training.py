@@ -39,7 +39,6 @@ class TrainerConfig:
     batch_size: int = 64
     target_sync_every: int = 10
     epochs: int = 4
-    window: int = 2048
     seed: int = 0
     grad_clip: float = 1.0
     buffer_capacity: int = 12_000
@@ -52,7 +51,7 @@ class TrainerConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.learning_rate is not None and self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for name in ("batch_size", "target_sync_every", "epochs", "window", "buffer_capacity"):
+        for name in ("batch_size", "target_sync_every", "epochs", "buffer_capacity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

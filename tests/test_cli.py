@@ -68,6 +68,8 @@ class TestConfig:
             load_run_config(overrides={"reward": "env", "mode": "dataset", "dataset_path": "x"})
         with pytest.raises(ConfigError):
             load_run_config(overrides={"gamma": 1.0})
+        with pytest.raises(ConfigError):
+            load_run_config(overrides={"window": 0})
 
     def test_bool_coercion(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -114,10 +114,12 @@ class RunConfig:
             raise ConfigError("reward=env requires mode=env")
         if self.mode == "dataset" and not self.dataset_path:
             raise ConfigError("dataset mode needs dataset_path")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must be in [0, 1)")
         if self.window <= 0:
             raise ConfigError("window must be positive")
+        try:
+            self.trainer_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def trainer_config(self) -> TrainerConfig:
         """The training settings, from the fields this config shares with TrainerConfig."""

@@ -7,8 +7,11 @@ scorer averages over.
 
 The tokenizer is a frequency-ranked word vocabulary with a byte-level
 fallback, so encoding is total (no OOV failures) and decode(encode(x)) == x
-for any input string.  Rendering and encoding are pure functions; identical
-inputs produce byte-identical outputs.
+for any input string.  `build_vocab` always reserves the answer words
+`(1)` .. `(8)`, so every answer " (k)" is the same two tokens, a space byte
+and one word, and the prompt (with its history truncation) is the same for
+every action.  Rendering and encoding are pure functions; identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DialogueState, StrategyCatalog
+from .core import DialogueState, StrategyCatalog, default_catalog
 
 PAD_ID = 0
 UNK_ID = 1
@@ -29,6 +32,7 @@ BOS_ID = 2
 NUM_SPECIALS = 3
 NUM_BYTE_TOKENS = 256
 WORD_ID_BASE = NUM_SPECIALS + NUM_BYTE_TOKENS  # 259
+ANSWER_WORDS = tuple(f"({s.id})" for s in default_catalog())  # one word per default answer
 
 _SEGMENT_RE = re.compile(r"\S+|\s+")
 
@@ -169,16 +173,29 @@ class Vocabulary:
 
 
 def build_vocab(corpus: Sequence[str], max_size: int = 4096) -> Vocabulary:
-    """Frequency-ranked word vocabulary (ties broken lexicographically)."""
-    if max_size < WORD_ID_BASE:
-        raise ValueError(f"max_size must be at least {WORD_ID_BASE} (specials + byte tokens)")
+    """Frequency-ranked word vocabulary (ties broken lexicographically),
+    followed by the answer words; `max_size` counts them."""
+    floor = WORD_ID_BASE + len(ANSWER_WORDS)
+    if max_size < floor:
+        raise ValueError(f"max_size must be at least {floor} (specials, byte tokens, answer words)")
     if not corpus or all(not doc.strip() for doc in corpus):
         raise EmptyCorpus("vocabulary corpus is empty")
     counts: Counter[str] = Counter()
     for doc in corpus:
         counts.update(doc.split())
+    for word in ANSWER_WORDS:
+        counts.pop(word, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary([w for w, _ in ranked[: max_size - WORD_ID_BASE]])
+    return Vocabulary([w for w, _ in ranked[: max_size - floor]] + list(ANSWER_WORDS))
+
+
+def encode_answer(action: int, catalog: StrategyCatalog, vocab: Vocabulary) -> list[int]:
+    """Token ids of the answer " (k)": a space byte, then the word `(k)`."""
+    catalog.by_id(action)  # validates the id
+    ids = vocab.encode(f" ({action})")
+    if len(ids) != 2:
+        raise ValueError(f"answer word ({action}) is not in the vocabulary")
+    return ids
 
 
 @dataclass
@@ -186,7 +203,7 @@ class EncodedPair:
     """Token ids for instruction + appended answer, with the answer span.
 
     `action_span` is the half-open [start, end) range covering exactly the
-    tokens of the answer text " (k)" at the sequence tail.
+    two tokens of the answer text " (k)" at the sequence tail.
     """
 
     tokens: np.ndarray
@@ -204,10 +221,10 @@ def encode_pair(
 
     Description, query, the option list and the answer are never truncated;
     only leading history turns are removed, one at a time, until the full
-    sequence (including the BOS prefix) fits in `window` tokens.
+    sequence (including the BOS prefix) fits in `window` tokens.  Every
+    answer has two tokens, so the kept prompt does not depend on `action`.
     """
-    catalog.by_id(action)  # validates the id
-    answer_ids = vocab.encode(f" ({action})")
+    answer_ids = encode_answer(action, catalog, vocab)
     for drop in range(len(state.history) + 1):
         candidate = state if drop == 0 else replace(state, history=state.history[drop:])
         prompt_ids = vocab.encode(render_mcq(candidate, catalog))

@@ -5,7 +5,8 @@ Two interchangeable backends implement the same operations (`q_value`,
 of the `Scorer` base in `base.py`, which holds the code they share:
 
 * `SeqScorer` -- a small causal transformer; Q(s, a) is the mean
-  log-probability of the appended answer tokens " (k)".
+  log-probability of the appended answer tokens " (k)", a space and one
+  answer word, so one pass over the shared prompt gives Q(s, ·).
 * `MlpScorer` -- a feed-forward net over hand-built state/action features;
   faster, and exactly comparable against the tabular oracle.
 """

@@ -9,6 +9,7 @@ greedy selection.  A backend supplies `param_specs` and its own `q_value`,
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict
 from typing import Optional, Union
 
@@ -19,25 +20,9 @@ from .. import autodiff as ad
 # (name, shape, init): init is "zero", "one", or the scale of a uniform(-scale, scale) weight
 ParamSpec = tuple[str, tuple[int, ...], Union[str, float]]
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-
 
 class BackendMismatch(TypeError):
     """Operation requires the other scorer backend."""
-
-
-class DtypeConfig:
-    """Mixin for a scorer config dataclass with a `dtype` field naming its float type."""
-
-    dtype: str
-
-    def __post_init__(self) -> None:
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return _DTYPES[self.dtype]
 
 
 def init_params(specs: list[ParamSpec], seed: int, dtype) -> dict[str, np.ndarray]:
@@ -61,19 +46,13 @@ def argmax_smallest_id(values: np.ndarray) -> int:
 
 class Scorer:
     backend: str
+    dtype = np.float64  # float type of the parameters
 
-    def __init__(
-        self,
-        config,
-        seed: int = 0,
-        params: Optional[dict[str, np.ndarray]] = None,
-        window: int = 2048,
-    ):
+    def __init__(self, config, seed: int = 0, params: Optional[dict[str, np.ndarray]] = None):
         self.config = config
-        self.window = window  # seq's token window; mlp only records it in its checkpoint
         specs = self.param_specs(config)
         if params is None:
-            params = init_params(specs, seed, config.np_dtype)
+            params = init_params(specs, seed, self.dtype)
         else:
             expected = {n: s for n, s, _ in specs}
             if set(params) != set(expected):
@@ -88,11 +67,9 @@ class Scorer:
         raise NotImplementedError
 
     def clone(self):
-        return type(self)(
-            self.config,
-            params={n: a.copy() for n, a in self.params.items()},
-            window=self.window,
-        )
+        twin = copy.copy(self)
+        twin.params = {n: a.copy() for n, a in self.params.items()}
+        return twin
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return self.params

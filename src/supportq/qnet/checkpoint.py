@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 
 
@@ -25,9 +25,10 @@ def save_scorer(path, scorer, extra: Optional[dict] = None) -> None:
         "format_version": FORMAT_VERSION,
         "backend": scorer.backend,
         "config": scorer.config_dict(),
-        "window": scorer.window,
         "extra": extra or {},
     }
+    if scorer.backend == "seq":
+        meta["window"] = scorer.window
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **{_META_KEY: blob}, **scorer.params)
 
@@ -54,7 +55,7 @@ def load_scorer(path):
         fc["history_bucket_edges"] = tuple(fc["history_bucket_edges"])
         cfg["features"] = FeatureConfig(**fc)
         cfg["hidden"] = tuple(cfg["hidden"])
-        scorer = MlpScorer(MlpConfig(**cfg), params=params, window=meta["window"])
+        scorer = MlpScorer(MlpConfig(**cfg), params=params)
     else:
         raise CheckpointError(f"unknown backend {meta['backend']!r}")
     return scorer, meta["extra"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..core import DEFAULT_EMOTIONS, DialogueState, Stage, StrategyCatalog
-from .base import DtypeConfig, ParamSpec, Scorer
+from .base import ParamSpec, Scorer
 
 _STAGE_SLOT = {None: 0, Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: 4}
 
@@ -74,11 +74,10 @@ def extract_features(
 
 
 @dataclass(frozen=True)
-class MlpConfig(DtypeConfig):
+class MlpConfig:
     n_actions: int
     features: FeatureConfig = field(default_factory=FeatureConfig)
     hidden: tuple[int, ...] = (64, 64)
-    dtype: str = "float64"
 
 
 class MlpScorer(Scorer):
@@ -95,7 +94,7 @@ class MlpScorer(Scorer):
 
     def _q_var(self, feats: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
         """(B,) Q values for a (B, F) feature batch."""
-        x: ad.Var = ad.Var(feats.astype(self.config.np_dtype))
+        x: ad.Var = ad.Var(feats)
         for i in range(len(self.config.hidden) + 1):
             x = x @ pv[f"layers.{i}.w"] + pv[f"layers.{i}.b"]
             if i < len(self.config.hidden):
@@ -111,7 +110,7 @@ class MlpScorer(Scorer):
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
         feats = np.stack([self._features(state, a, catalog) for a in catalog.ids])
-        return self._finite(self._q_var(feats, self._param_vars()).data.astype(np.float64))
+        return self._finite(self._q_var(feats, self._param_vars()).data)
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None
@@ -129,7 +128,7 @@ class MlpScorer(Scorer):
         if not items:
             raise ValueError("empty batch")
         feats = np.stack([self._features(s, a, catalog) for s, a, _ in items])
-        targets = np.array([t for _, _, t in items], dtype=self.config.np_dtype)
+        targets = np.array([t for _, _, t in items], dtype=np.float64)
         pv = self._param_vars()
         diff = self._q_var(feats, pv) - targets
         loss = ad.vmean(diff * diff)

@@ -2,16 +2,14 @@
 
 The state is rendered into the multi-choice instruction, the candidate
 answer " (k)" is appended, and Q(s, a) is the mean log-probability the model
-assigns to the answer tokens at their predicting positions.  Strict causal
-masking means every output position depends only on earlier tokens, so a
-whole sequence yields its per-position predictions in one pass.
+assigns to the answer tokens at their predicting positions.  Every answer is
+the same two tokens, a space and the answer word `(k)` (see `build_vocab`),
+so the prompt is shared and Q(s, ·) comes from one pass over BOS + prompt +
+" ": its last row predicts each answer word, the row before it the space.
 
-Q values are computed by a forward-only numpy kernel that shares the prompt
-between actions: one pass over BOS + prompt keeps every layer's keys and
-values, then each action runs only its answer tokens (all but the last, 1-3
-rows) against that cache, and the head and log-softmax run only for the rows
-that predict the answer.  Actions are grouped by their encoded prompt, since
-`encode_pair` may drop a different amount of history per answer length.
+Q values are computed by a forward-only numpy kernel whose last block, final
+layer norm, head and log-softmax run only for those two rows.  `q_value`
+reads the same vector as `q_all`.
 
 Gradients are analytic (reverse-mode on the autodiff tape, which is built
 only by `grad_q`, `loss_and_grads` and `forward`) and are verified against
@@ -28,12 +26,14 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..core import DialogueState, StrategyCatalog
-from ..encoding import EncodedPair, Vocabulary, encode_pair
-from .base import DtypeConfig, ParamSpec, Scorer
+from ..encoding import EncodedPair, Vocabulary, encode_answer, encode_pair
+from .base import ParamSpec, Scorer
+
+_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 @dataclass(frozen=True)
-class SeqConfig(DtypeConfig):
+class SeqConfig:
     vocab_size: int
     d_model: int = 64
     n_heads: int = 2
@@ -44,13 +44,17 @@ class SeqConfig(DtypeConfig):
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        super().__post_init__()
+        if self.dtype not in _DTYPES:
+            raise ValueError(f"unsupported dtype {self.dtype!r}")
+
+    @property
+    def np_dtype(self):
+        return _DTYPES[self.dtype]
 
 
-def causal_mask(n_rows: int, n_cols: int, dtype) -> np.ndarray:
-    """Additive mask for the last `n_rows` positions of an `n_cols`-long
-    sequence: row i may attend to columns 0 .. n_cols - n_rows + i."""
-    return np.triu(np.full((n_rows, n_cols), -1e30, dtype=dtype), k=n_cols - n_rows + 1)
+def causal_mask(t: int, dtype) -> np.ndarray:
+    """Additive T x T mask: row i may attend to columns 0 .. i."""
+    return np.triu(np.full((t, t), -1e30, dtype=dtype), k=1)
 
 
 # Forward-only numpy counterparts of the tape composites, same operation order.
@@ -73,13 +77,6 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _answer_span(encoded: EncodedPair) -> tuple[int, int]:
-    start, end = encoded.action_span
-    if start < 1 or end <= start:
-        raise ValueError("action span must be nonempty and after the BOS token")
-    return start, end
-
-
 class SeqScorer(Scorer):
     backend = "seq"
 
@@ -90,7 +87,12 @@ class SeqScorer(Scorer):
         params: Optional[dict[str, np.ndarray]] = None,
         window: int = 2048,
     ):
-        super().__init__(config, seed, params, min(window, config.n_ctx))
+        super().__init__(config, seed, params)
+        self.window = min(window, config.n_ctx)  # token budget of an encoded pair
+
+    @property
+    def dtype(self):
+        return self.config.np_dtype
 
     @staticmethod
     def param_specs(cfg: SeqConfig) -> list[ParamSpec]:
@@ -138,13 +140,13 @@ class SeqScorer(Scorer):
         if tokens.max() >= cfg.vocab_size or tokens.min() < 0:
             raise ValueError("token id outside the vocabulary")
 
-    def _next_token_logprobs(self, tokens: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
-        """(T, V) log-probs on the tape; row j is the distribution over token j+1."""
+    def _hidden_var(self, tokens: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
+        """(T, d) final hidden rows, before ln_f, on the tape."""
         cfg = self.config
         self._check_tokens(tokens)
         t = len(tokens)
         x = ad.take_rows(pv["tok_emb"], tokens) + ad.take_rows(pv["pos_emb"], np.arange(t))
-        mask = causal_mask(t, t, cfg.np_dtype)
+        mask = causal_mask(t, cfg.np_dtype)
         n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         for i in range(cfg.n_layers):
             p = lambda n: pv[f"blocks.{i}.{n}"]
@@ -159,8 +161,12 @@ class SeqScorer(Scorer):
             x = x + (ctx @ p("attn.wo") + p("attn.bo"))
             h2 = ad.layer_norm(x, p("ln2.g"), p("ln2.b"))
             x = x + (ad.gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
-        x = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"])
-        logits = x @ pv["head.w"] + pv["head.b"]
+        return x
+
+    @staticmethod
+    def _logprobs_var(x: ad.Var, pv: dict[str, ad.Var]) -> ad.Var:
+        """Next-token log-probs of hidden rows `x`, on the tape."""
+        logits = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"]) @ pv["head.w"] + pv["head.b"]
         return ad.log_softmax(logits, axis=-1)
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
@@ -170,7 +176,8 @@ class SeqScorer(Scorer):
         row 0, which has nothing to condition on, is the uniform -ln(V).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        preds = self._next_token_logprobs(tokens, self._param_vars()).data
+        pv = self._param_vars()
+        preds = self._logprobs_var(self._hidden_var(tokens, pv), pv).data
         out = np.empty((len(tokens), self.config.vocab_size), dtype=self.config.np_dtype)
         out[0] = -math.log(self.config.vocab_size)
         out[1:] = preds[:-1]
@@ -178,35 +185,23 @@ class SeqScorer(Scorer):
 
     # -- forward-only Q kernel ------------------------------------------------
 
-    def _extend(
-        self, tokens: np.ndarray, past: list[tuple[np.ndarray, np.ndarray]], last_row_only: bool = False
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-        """Run `tokens` through the blocks after the positions cached in `past`.
-
-        `past` holds one (keys, values) pair per layer, each (H, P, dh), for
-        the P tokens before these; it is empty for a prompt.  Returns the
-        final hidden rows (before ln_f) and every layer's keys and values for
-        all P + t positions.  With `last_row_only` the last block computes
-        queries, output projection and MLP for the final row alone.
-        """
+    def _last_hidden(self, tokens: np.ndarray, n_rows: int) -> np.ndarray:
+        """Final hidden rows, before ln_f, of the last `n_rows` positions of
+        `tokens`; the last block computes queries, output projection and MLP
+        for those rows alone."""
         cfg, prm = self.config, self.params
-        t, start = len(tokens), (past[0][0].shape[1] if past else 0)
+        t = len(tokens)
         n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
         split = lambda m: m.reshape(len(m), n_heads, dh).swapaxes(0, 1)
-        x = prm["tok_emb"][tokens] + prm["pos_emb"][start : start + t]
-        mask = causal_mask(t, start + t, cfg.np_dtype)
-        present = []
+        x = prm["tok_emb"][tokens] + prm["pos_emb"][:t]
+        mask = causal_mask(t, cfg.np_dtype)
         for i in range(cfg.n_layers):
             p = lambda n: prm[f"blocks.{i}.{n}"]
             h = _layer_norm(x, p("ln1.g"), p("ln1.b"))
             k = split(h @ p("attn.wk") + p("attn.bk"))
             v = split(h @ p("attn.wv") + p("attn.bv"))
-            if past:
-                k = np.concatenate((past[i][0], k), axis=1)
-                v = np.concatenate((past[i][1], v), axis=1)
-            present.append((k, v))
-            if last_row_only and i == cfg.n_layers - 1:
-                x, h, mask = x[-1:], h[-1:], mask[-1:]
+            if i == cfg.n_layers - 1:
+                x, h, mask = x[-n_rows:], h[-n_rows:], mask[-n_rows:]
             q = split(h @ p("attn.wq") + p("attn.bq"))
             scores = q @ k.swapaxes(1, 2)
             scores *= 1.0 / math.sqrt(dh)
@@ -218,50 +213,40 @@ class SeqScorer(Scorer):
             x = x + (ctx @ p("attn.wo") + p("attn.bo"))
             h2 = _layer_norm(x, p("ln2.g"), p("ln2.b"))
             x = x + (_gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
-        return x, present
+        return x
 
-    def _answer_q(self, last: np.ndarray, cache: list, answer: np.ndarray) -> float:
-        """Mean log-probability of `answer` after a prompt whose final hidden
-        row is `last` and whose keys and values are `cache`."""
+    def _q_row(
+        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
+    ) -> np.ndarray:
+        """Q(s, ·) from one pass over BOS + prompt + " ", the prompt encoded
+        alongside `action`'s answer (every answer keeps the same prompt)."""
+        pair = encode_pair(state, action, catalog, vocab, self.window)
+        self._check_tokens(pair.tokens)
+        space = pair.tokens[pair.action_span[0]]
+        words = [encode_answer(a, catalog, vocab)[1] for a in catalog.ids]
         prm = self.params
-        hidden = last
-        if len(answer) > 1:
-            hidden = np.concatenate((last, self._extend(answer[:-1], cache)[0]))
+        hidden = self._last_hidden(pair.tokens[:-1], 2)
         logits = _layer_norm(hidden, prm["ln_f.g"], prm["ln_f.b"]) @ prm["head.w"] + prm["head.b"]
-        picked = _log_softmax(logits)[np.arange(len(answer)), answer]
-        return float(picked.sum() * (1.0 / len(answer)))
-
-    def _q_encoded(self, pairs: list[EncodedPair]) -> list[float]:
-        """Q of each encoded pair, with one prompt pass per distinct prompt."""
-        groups: dict[bytes, list[int]] = {}
-        for j, pair in enumerate(pairs):
-            self._check_tokens(pair.tokens)
-            groups.setdefault(pair.tokens[: _answer_span(pair)[0]].tobytes(), []).append(j)
-        values = [0.0] * len(pairs)
-        for members in groups.values():
-            first = pairs[members[0]]
-            last, cache = self._extend(first.tokens[: first.action_span[0]], [], last_row_only=True)
-            for j in members:
-                values[j] = self._answer_q(last, cache, pairs[j].tokens[slice(*pairs[j].action_span)])
-        return values
+        logp = _log_softmax(logits)
+        return ((logp[0, space] + logp[1, words]) * 0.5).astype(np.float64)
 
     # -- Q interface ----------------------------------------------------------
 
     def _q_var(self, encoded: EncodedPair, pv: dict[str, ad.Var]) -> ad.Var:
-        start, end = _answer_span(encoded)
-        preds = self._next_token_logprobs(encoded.tokens, pv)
-        span = np.arange(start, end)
-        picked = ad.take_pairs(preds, span - 1, encoded.tokens[span])
-        return ad.vmean(picked)
+        """Mean log-probability of the answer tokens, on the tape."""
+        start, end = encoded.action_span
+        rows = np.arange(start - 1, end - 1)
+        hidden = self._hidden_var(encoded.tokens[: end - 1], pv)
+        logp = self._logprobs_var(ad.take_rows(hidden, rows), pv)
+        return ad.vmean(ad.take_pairs(logp, np.arange(end - start), encoded.tokens[start:end]))
 
     def q_value(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
     ) -> float:
-        return self._q_encoded([encode_pair(state, action, catalog, vocab, self.window)])[0]
+        return float(self._q_row(state, action, catalog, vocab)[action - 1])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        pairs = [encode_pair(state, a, catalog, vocab, self.window) for a in catalog.ids]
-        return self._finite(np.array(self._q_encoded(pairs)))
+        return self._finite(self._q_row(state, catalog.ids[0], catalog, vocab))
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary

@@ -43,6 +43,19 @@ def test_wrong_format_version_rejected(saved):
         load_scorer(path)
 
 
+def test_format_version_1_rejected(saved):
+    path, arrays, meta = saved
+    _write(path, arrays, {**meta, "format_version": 1})
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_scorer(path)
+
+
+def test_window_only_in_seq_header(saved):
+    _, _, meta = saved
+    assert ("window" in meta) == (meta["backend"] == "seq")
+    assert ("dtype" in meta["config"]) == (meta["backend"] == "seq")
+
+
 def test_unknown_backend_rejected(saved):
     path, arrays, meta = saved
     _write(path, arrays, {**meta, "backend": "rnn"})

@@ -70,6 +70,10 @@ class TestConfig:
             load_run_config(overrides={"gamma": 1.0})
         with pytest.raises(ConfigError):
             load_run_config(overrides={"window": 0})
+        with pytest.raises(ConfigError):
+            load_run_config(overrides={"batch_size": 0})
+        with pytest.raises(ConfigError):
+            load_run_config(overrides={"learning_rate": -1})
 
     def test_bool_coercion(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -92,6 +96,12 @@ class TestTrainCommand:
     def test_missing_dataset_path_is_config_error(self, tmp_path):
         rc = main(["train", "--mode", "dataset", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_out_of_range_training_setting_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUPPORTQ_BATCH_SIZE", "0")
+        rc = main(["train", "--mode", "env", "--out-dir", str(tmp_path / "x"), *TINY])
+        assert rc == 2
+        assert "batch_size must be positive" in capsys.readouterr().err
 
     def test_env_staged_alias_spelling(self, tmp_path):
         out = tmp_path / "alias"

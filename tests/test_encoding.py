@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supportq.core import DialogueState, Emotion, Speaker, Turn
+from supportq.core import DialogueState, Emotion, Speaker, Stage, Strategy, StrategyCatalog, Turn
 from supportq.encoding import (
     BOS_ID,
     WORD_ID_BASE,
@@ -94,9 +94,10 @@ class TestVocabulary:
             build_vocab(["   "], 600)
 
     def test_max_size_caps_words(self):
-        vocab = build_vocab(["a b c d e f"], WORD_ID_BASE + 3)
-        assert len(vocab.words) == 3
-        assert vocab.size == WORD_ID_BASE + 3
+        vocab = build_vocab(["a b c d e f"], WORD_ID_BASE + 8 + 3)
+        assert vocab.words[:3] == ("a", "b", "c")
+        assert len(vocab.words) == 3 + 8
+        assert vocab.size == WORD_ID_BASE + 8 + 3
 
     def test_byte_fallback_round_trip(self):
         vocab = build_vocab(["hello world"], 300)
@@ -173,3 +174,31 @@ class TestEncodePair:
     def test_invalid_action_rejected(self, bare_state, catalog, small_vocab):
         with pytest.raises(KeyError):
             encode_pair(bare_state, 9, catalog, small_vocab)
+
+
+class TestAnswerWords:
+    """Every answer " (k)" of the default catalog is a space byte and one word."""
+
+    @pytest.mark.parametrize("source", ["one_word_floor", "conftest"])
+    def test_every_answer_is_space_then_one_word(self, source, bare_state, catalog, small_vocab):
+        vocab = build_vocab(["hello"], WORD_ID_BASE + 8) if source == "one_word_floor" else small_vocab
+        space = vocab.encode(" ")
+        assert len(space) == 1
+        for action in catalog.ids:
+            pair = encode_pair(bare_state, action, catalog, vocab)
+            start, end = pair.action_span
+            answer = pair.tokens[start:end].tolist()
+            assert answer[0] == space[0]
+            assert len(answer) == 2 and answer[1] >= WORD_ID_BASE
+            assert vocab.decode(answer[1:]) == f"({action})"
+
+    def test_max_size_below_answer_floor_errors(self):
+        build_vocab(["a"], WORD_ID_BASE + 8)
+        with pytest.raises(ValueError):
+            build_vocab(["a"], WORD_ID_BASE + 7)
+
+    def test_answer_outside_the_vocabulary_errors(self, bare_state, catalog, small_vocab):
+        nine = StrategyCatalog((*catalog.strategies, Strategy(9, "Humor", "Hum.", Stage.II)))
+        encode_pair(bare_state, 8, nine, small_vocab)
+        with pytest.raises(ValueError, match=r"answer word \(9\)"):
+            encode_pair(bare_state, 9, nine, small_vocab)

@@ -230,6 +230,12 @@ class TestSerialization:
         clone.params["head.w"][:] = 0.0
         assert not np.array_equal(clone.params["head.w"], seq_scorer.params["head.w"])
 
+    def test_clone_and_checkpoint_keep_window(self, seq_scorer, tmp_path):
+        scorer = SeqScorer(seq_scorer.config, params=seq_scorer.params, window=300)
+        assert scorer.clone().window == 300
+        save_scorer(tmp_path / "ckpt.npz", scorer)
+        assert load_scorer(tmp_path / "ckpt.npz")[0].window == 300
+
 
 def test_select_strategy_tie_breaks_to_smallest_id(bare_state, catalog, small_vocab, seq_scorer):
     from supportq.qnet.base import argmax_smallest_id
@@ -253,13 +259,16 @@ class TestSharedPromptKernel:
             atol=1e-12,
         )
 
-    def test_window_boundary_splits_prompts(self, seq_scorer, tiny_state, catalog, small_vocab):
-        # one token of slack: the 2-token answer " (1)" keeps the whole history,
-        # the 4-token answers " (2)" .. " (8)" must drop turns to fit
-        window = len(encode_pair(tiny_state, 1, catalog, small_vocab).tokens) + 1
+    def test_window_boundary_drops_the_same_history(self, seq_scorer, tiny_state, catalog, small_vocab):
+        # one token short of the full-history sequence: every action must drop
+        # the same turns, because every answer " (k)" is two tokens
+        full = encode_pair(tiny_state, 1, catalog, small_vocab)
+        window = len(full.tokens) - 1
         scorer = SeqScorer(seq_scorer.config, params=seq_scorer.params, window=window)
-        pairs = [encode_pair(tiny_state, a, catalog, small_vocab, window) for a in (1, 2)]
-        assert pairs[0].action_span[0] > pairs[1].action_span[0]
+        pairs = [encode_pair(tiny_state, a, catalog, small_vocab, window) for a in catalog.ids]
+        prompts = {p.tokens[: p.action_span[0] + 1].tobytes() for p in pairs}
+        assert len(prompts) == 1
+        assert pairs[0].action_span[0] < full.action_span[0]
         qs = scorer.q_all(tiny_state, catalog, small_vocab)
         np.testing.assert_allclose(
             qs, oracle_seq_q_all(scorer, tiny_state, catalog, small_vocab), rtol=0, atol=1e-12

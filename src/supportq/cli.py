@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core import StrategyCatalog, default_catalog, derive_transitions
-from .encoding import Vocabulary, build_vocab, render_mcq
+from .encoding import MIN_VOCAB_SIZE, Vocabulary, build_vocab, render_mcq
 from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, response_template
 from .ingest import (
     ParseError,
@@ -116,6 +116,8 @@ class RunConfig:
             raise ConfigError("dataset mode needs dataset_path")
         if self.window <= 0:
             raise ConfigError("window must be positive")
+        if self.vocab_max_size < MIN_VOCAB_SIZE:
+            raise ConfigError(f"vocab_max_size must be at least {MIN_VOCAB_SIZE}")
         try:
             self.trainer_config()
         except ValueError as exc:

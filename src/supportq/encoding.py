@@ -33,6 +33,7 @@ NUM_SPECIALS = 3
 NUM_BYTE_TOKENS = 256
 WORD_ID_BASE = NUM_SPECIALS + NUM_BYTE_TOKENS  # 259
 ANSWER_WORDS = tuple(f"({s.id})" for s in default_catalog())  # one word per default answer
+MIN_VOCAB_SIZE = WORD_ID_BASE + len(ANSWER_WORDS)  # specials, byte tokens, answer words
 
 _SEGMENT_RE = re.compile(r"\S+|\s+")
 
@@ -175,9 +176,8 @@ class Vocabulary:
 def build_vocab(corpus: Sequence[str], max_size: int = 4096) -> Vocabulary:
     """Frequency-ranked word vocabulary (ties broken lexicographically),
     followed by the answer words; `max_size` counts them."""
-    floor = WORD_ID_BASE + len(ANSWER_WORDS)
-    if max_size < floor:
-        raise ValueError(f"max_size must be at least {floor} (specials, byte tokens, answer words)")
+    if max_size < MIN_VOCAB_SIZE:
+        raise ValueError(f"max_size must be at least {MIN_VOCAB_SIZE} (specials, bytes, answer words)")
     if not corpus or all(not doc.strip() for doc in corpus):
         raise EmptyCorpus("vocabulary corpus is empty")
     counts: Counter[str] = Counter()
@@ -186,7 +186,7 @@ def build_vocab(corpus: Sequence[str], max_size: int = 4096) -> Vocabulary:
     for word in ANSWER_WORDS:
         counts.pop(word, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary([w for w, _ in ranked[: max_size - floor]] + list(ANSWER_WORDS))
+    return Vocabulary([w for w, _ in ranked[: max_size - MIN_VOCAB_SIZE]] + list(ANSWER_WORDS))
 
 
 def encode_answer(action: int, catalog: StrategyCatalog, vocab: Vocabulary) -> list[int]:

@@ -9,6 +9,9 @@ of the `Scorer` base in `base.py`, which holds the code they share:
   answer word, so one pass over the shared prompt gives Q(s, ·).
 * `MlpScorer` -- a feed-forward net over hand-built state/action features;
   faster, and exactly comparable against the tabular oracle.
+
+Each backend writes its forward once, against an array namespace: Q values
+run it on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
 """
 
 from .base import BackendMismatch

@@ -92,31 +92,31 @@ class MlpScorer(Scorer):
             specs.append((f"layers.{i}.b", (d_out,), "zero"))
         return specs
 
-    def _q_var(self, feats: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
-        """(B,) Q values for a (B, F) feature batch."""
-        x: ad.Var = ad.Var(feats)
+    def _q(self, feats: np.ndarray, params: dict, ops):
+        """(B,) Q values for a (B, F) feature batch; `ops` as in `SeqScorer._hidden`."""
+        x = feats
         for i in range(len(self.config.hidden) + 1):
-            x = x @ pv[f"layers.{i}.w"] + pv[f"layers.{i}.b"]
+            x = x @ params[f"layers.{i}.w"] + params[f"layers.{i}.b"]
             if i < len(self.config.hidden):
-                x = ad.tanh(x)
-        return ad.reshape(x, (feats.shape[0],))
+                x = ops.tanh(x)
+        return ops.reshape(x, (feats.shape[0],))
 
     def _features(self, state: DialogueState, action: int, catalog: StrategyCatalog) -> np.ndarray:
         return extract_features(state, action, catalog, self.config.features)
 
     def q_value(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> float:
         feats = self._features(state, action, catalog)[None, :]
-        return float(self._q_var(feats, self._param_vars()).data[0])
+        return float(self._q(feats, self.params, ad.numpy_ops)[0])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
         feats = np.stack([self._features(state, a, catalog) for a in catalog.ids])
-        return self._finite(self._q_var(feats, self._param_vars()).data)
+        return self._finite(self._q(feats, self.params, ad.numpy_ops))
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None
     ) -> dict[str, np.ndarray]:
         pv = self._param_vars()
-        q = ad.vmean(self._q_var(self._features(state, action, catalog)[None, :], pv))
+        q = ad.vmean(self._q(self._features(state, action, catalog)[None, :], pv, ad))
         return self._grads(q, pv)
 
     def loss_and_grads(
@@ -130,6 +130,6 @@ class MlpScorer(Scorer):
         feats = np.stack([self._features(s, a, catalog) for s, a, _ in items])
         targets = np.array([t for _, _, t in items], dtype=np.float64)
         pv = self._param_vars()
-        diff = self._q_var(feats, pv) - targets
+        diff = self._q(feats, pv, ad) - targets
         loss = ad.vmean(diff * diff)
         return float(loss.data), self._grads(loss, pv)

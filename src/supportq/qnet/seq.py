@@ -7,13 +7,13 @@ the same two tokens, a space and the answer word `(k)` (see `build_vocab`),
 so the prompt is shared and Q(s, ·) comes from one pass over BOS + prompt +
 " ": its last row predicts each answer word, the row before it the space.
 
-Q values are computed by a forward-only numpy kernel whose last block, final
-layer norm, head and log-softmax run only for those two rows.  `q_value`
-reads the same vector as `q_all`.
-
-Gradients are analytic (reverse-mode on the autodiff tape, which is built
-only by `grad_q`, `loss_and_grads` and `forward`) and are verified against
-central finite differences in the test suite.
+The transformer is written once, in `_hidden`, against an array namespace
+`ops`: `autodiff.numpy_ops` runs it without a tape for `q_all` and `q_value`,
+which read the same vector; `autodiff` with `Var` parameters builds the tape
+for `grad_q`, `loss_and_grads` (one pass per distinct state in a batch) and
+the reference `forward`.  The last block, final layer norm, head and
+log-softmax run only on the two rows that predict the answer.  Gradients
+are verified against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..core import DialogueState, StrategyCatalog
-from ..encoding import EncodedPair, Vocabulary, encode_answer, encode_pair
+from ..encoding import Vocabulary, encode_answer, encode_pair
 from .base import ParamSpec, Scorer
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -44,6 +44,8 @@ class SeqConfig:
     def __post_init__(self) -> None:
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.n_layers < 1:
+            raise ValueError("n_layers must be at least 1")
         if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 
@@ -54,27 +56,8 @@ class SeqConfig:
 
 def causal_mask(t: int, dtype) -> np.ndarray:
     """Additive T x T mask: row i may attend to columns 0 .. i."""
-    return np.triu(np.full((t, t), -1e30, dtype=dtype), k=1)
-
-
-# Forward-only numpy counterparts of the tape composites, same operation order.
-
-
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    inv_n = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    return centered * (var + eps) ** -0.5 * gain + bias
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    inner = (x + x * x * x * 0.044715) * ad._GELU_C
-    return x * (np.tanh(inner) + 1.0) * 0.5
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    pos = np.arange(t)
+    return np.where(pos[:, None] < pos, dtype(-1e30), dtype(0.0))
 
 
 class SeqScorer(Scorer):
@@ -133,128 +116,83 @@ class SeqScorer(Scorer):
 
     # -- forward ------------------------------------------------------------
 
-    def _check_tokens(self, tokens: np.ndarray) -> None:
-        cfg = self.config
-        if len(tokens) > cfg.n_ctx:
-            raise ValueError(f"sequence length {len(tokens)} exceeds context size {cfg.n_ctx}")
+    def _hidden(self, tokens: np.ndarray, params: dict, ops, n_rows: int):
+        """Final hidden rows, before ln_f, of the last `n_rows` positions of
+        `tokens`; the last block computes queries, output projection and MLP
+        for those rows alone.  `ops` is `autodiff` with `Var` params (on the
+        tape) or `autodiff.numpy_ops` with arrays (no tape)."""
+        cfg, t = self.config, len(tokens)
+        if t > cfg.n_ctx:
+            raise ValueError(f"sequence length {t} exceeds context size {cfg.n_ctx}")
         if tokens.max() >= cfg.vocab_size or tokens.min() < 0:
             raise ValueError("token id outside the vocabulary")
-
-    def _hidden_var(self, tokens: np.ndarray, pv: dict[str, ad.Var]) -> ad.Var:
-        """(T, d) final hidden rows, before ln_f, on the tape."""
-        cfg = self.config
-        self._check_tokens(tokens)
-        t = len(tokens)
-        x = ad.take_rows(pv["tok_emb"], tokens) + ad.take_rows(pv["pos_emb"], np.arange(t))
-        mask = causal_mask(t, cfg.np_dtype)
         n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        split = lambda m: ops.swapaxes(ops.reshape(m, (m.shape[0], n_heads, dh)), 0, 1)
+        x = ops.take_rows(params["tok_emb"], tokens) + ops.take_rows(params["pos_emb"], np.arange(t))
+        mask = causal_mask(t, cfg.np_dtype)
         for i in range(cfg.n_layers):
-            p = lambda n: pv[f"blocks.{i}.{n}"]
-            h = ad.layer_norm(x, p("ln1.g"), p("ln1.b"))
-            q = ad.reshape(h @ p("attn.wq") + p("attn.bq"), (t, n_heads, dh))
-            k = ad.reshape(h @ p("attn.wk") + p("attn.bk"), (t, n_heads, dh))
-            v = ad.reshape(h @ p("attn.wv") + p("attn.bv"), (t, n_heads, dh))
-            q, k, v = (ad.swapaxes(m, 0, 1) for m in (q, k, v))
-            scores = (q @ ad.swapaxes(k, 1, 2)) * (1.0 / math.sqrt(dh)) + mask
-            ctx = ad.softmax(scores, axis=-1) @ v
-            ctx = ad.reshape(ad.swapaxes(ctx, 0, 1), (t, cfg.d_model))
-            x = x + (ctx @ p("attn.wo") + p("attn.bo"))
-            h2 = ad.layer_norm(x, p("ln2.g"), p("ln2.b"))
-            x = x + (ad.gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
+            p = lambda n: params[f"blocks.{i}.{n}"]
+            h = ops.layer_norm(x, p("ln1.g"), p("ln1.b"))
+            k = split(h @ p("attn.wk") + p("attn.bk"))
+            v = split(h @ p("attn.wv") + p("attn.bv"))
+            if i == cfg.n_layers - 1:
+                last = np.arange(t - n_rows, t)
+                x, h, mask = ops.take_rows(x, last), ops.take_rows(h, last), mask[last]
+            q = split(h @ p("attn.wq") + p("attn.bq"))
+            scores = q @ ops.swapaxes(k, 1, 2)
+            scores *= 1.0 / math.sqrt(dh)  # in place on arrays; a Var has no in-place ops and rebinds
+            scores += mask
+            ctx = ops.swapaxes(ops.softmax(scores, axis=-1) @ v, 0, 1)
+            x = x + (ops.reshape(ctx, (x.shape[0], cfg.d_model)) @ p("attn.wo") + p("attn.bo"))
+            h2 = ops.layer_norm(x, p("ln2.g"), p("ln2.b"))
+            x = x + (ops.gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
         return x
 
-    @staticmethod
-    def _logprobs_var(x: ad.Var, pv: dict[str, ad.Var]) -> ad.Var:
-        """Next-token log-probs of hidden rows `x`, on the tape."""
-        logits = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"]) @ pv["head.w"] + pv["head.b"]
-        return ad.log_softmax(logits, axis=-1)
-
     def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Per-position log-probabilities, shape (T, V).
+        """Per-position log-probabilities, shape (T, V), on the tape.
 
         Row i is the distribution over token i conditioned on tokens < i;
         row 0, which has nothing to condition on, is the uniform -ln(V).
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         pv = self._param_vars()
-        preds = self._logprobs_var(self._hidden_var(tokens, pv), pv).data
+        x = ad.layer_norm(self._hidden(tokens, pv, ad, len(tokens)), pv["ln_f.g"], pv["ln_f.b"])
         out = np.empty((len(tokens), self.config.vocab_size), dtype=self.config.np_dtype)
         out[0] = -math.log(self.config.vocab_size)
-        out[1:] = preds[:-1]
+        out[1:] = ad.log_softmax(x @ pv["head.w"] + pv["head.b"], axis=-1).data[:-1]
         return out
 
-    # -- forward-only Q kernel ------------------------------------------------
-
-    def _last_hidden(self, tokens: np.ndarray, n_rows: int) -> np.ndarray:
-        """Final hidden rows, before ln_f, of the last `n_rows` positions of
-        `tokens`; the last block computes queries, output projection and MLP
-        for those rows alone."""
-        cfg, prm = self.config, self.params
-        t = len(tokens)
-        n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        split = lambda m: m.reshape(len(m), n_heads, dh).swapaxes(0, 1)
-        x = prm["tok_emb"][tokens] + prm["pos_emb"][:t]
-        mask = causal_mask(t, cfg.np_dtype)
-        for i in range(cfg.n_layers):
-            p = lambda n: prm[f"blocks.{i}.{n}"]
-            h = _layer_norm(x, p("ln1.g"), p("ln1.b"))
-            k = split(h @ p("attn.wk") + p("attn.bk"))
-            v = split(h @ p("attn.wv") + p("attn.bv"))
-            if i == cfg.n_layers - 1:
-                x, h, mask = x[-n_rows:], h[-n_rows:], mask[-n_rows:]
-            q = split(h @ p("attn.wq") + p("attn.bq"))
-            scores = q @ k.swapaxes(1, 2)
-            scores *= 1.0 / math.sqrt(dh)
-            scores += mask
-            scores -= np.max(scores, axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            ctx = (scores @ v).swapaxes(0, 1).reshape(len(x), cfg.d_model)
-            x = x + (ctx @ p("attn.wo") + p("attn.bo"))
-            h2 = _layer_norm(x, p("ln2.g"), p("ln2.b"))
-            x = x + (_gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
-        return x
-
-    def _q_row(
-        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> np.ndarray:
-        """Q(s, ·) from one pass over BOS + prompt + " ", the prompt encoded
-        alongside `action`'s answer (every answer keeps the same prompt)."""
-        pair = encode_pair(state, action, catalog, vocab, self.window)
-        self._check_tokens(pair.tokens)
-        space = pair.tokens[pair.action_span[0]]
-        words = [encode_answer(a, catalog, vocab)[1] for a in catalog.ids]
-        prm = self.params
-        hidden = self._last_hidden(pair.tokens[:-1], 2)
-        logits = _layer_norm(hidden, prm["ln_f.g"], prm["ln_f.b"]) @ prm["head.w"] + prm["head.b"]
-        logp = _log_softmax(logits)
-        return ((logp[0, space] + logp[1, words]) * 0.5).astype(np.float64)
+    def _q(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary, params: dict, ops):
+        """Q(s, ·) from one pass over BOS + prompt + " ": the mean of the
+        log-probabilities of the space and of each answer word."""
+        pair = encode_pair(state, catalog.ids[0], catalog, vocab, self.window)
+        k, space = len(catalog), pair.tokens[pair.action_span[0]]
+        words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
+        hidden = self._hidden(pair.tokens[:-1], params, ops, 2)
+        x = ops.layer_norm(hidden, params["ln_f.g"], params["ln_f.b"])
+        logp = ops.log_softmax(x @ params["head.w"] + params["head.b"], axis=-1)
+        pick = lambda row, cols: ops.take_pairs(logp, np.full(k, row), cols)
+        return (pick(0, np.full(k, space)) + pick(1, words)) * 0.5
 
     # -- Q interface ----------------------------------------------------------
-
-    def _q_var(self, encoded: EncodedPair, pv: dict[str, ad.Var]) -> ad.Var:
-        """Mean log-probability of the answer tokens, on the tape."""
-        start, end = encoded.action_span
-        rows = np.arange(start - 1, end - 1)
-        hidden = self._hidden_var(encoded.tokens[: end - 1], pv)
-        logp = self._logprobs_var(ad.take_rows(hidden, rows), pv)
-        return ad.vmean(ad.take_pairs(logp, np.arange(end - start), encoded.tokens[start:end]))
 
     def q_value(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
     ) -> float:
-        return float(self._q_row(state, action, catalog, vocab)[action - 1])
+        catalog.by_id(action)
+        return float(self._q(state, catalog, vocab, self.params, ad.numpy_ops)[action - 1])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        return self._finite(self._q_row(state, catalog.ids[0], catalog, vocab))
+        q = self._q(state, catalog, vocab, self.params, ad.numpy_ops)
+        return self._finite(q.astype(np.float64))
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
     ) -> dict[str, np.ndarray]:
         """Analytic gradient of q_value with respect to every parameter."""
+        catalog.by_id(action)
         pv = self._param_vars()
-        q = self._q_var(encode_pair(state, action, catalog, vocab, self.window), pv)
-        return self._grads(q, pv)
+        return self._grads(ad.take_rows(self._q(state, catalog, vocab, pv, ad), action - 1), pv)
 
     def loss_and_grads(
         self,
@@ -262,14 +200,18 @@ class SeqScorer(Scorer):
         catalog: StrategyCatalog,
         vocab: Vocabulary,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean squared TD error over (state, action, target) and its gradient."""
+        """Mean squared TD error over (state, action, target) and its gradient.
+        Items that share a state share one forward and backward pass."""
         if not items:
             raise ValueError("empty batch")
         pv = self._param_vars()
+        qs: dict[DialogueState, ad.Var] = {}
         total: Optional[ad.Var] = None
         for state, action, target in items:
-            q = self._q_var(encode_pair(state, action, catalog, vocab, self.window), pv)
-            se = (q - float(target)) ** 2.0
+            catalog.by_id(action)
+            if state not in qs:
+                qs[state] = self._q(state, catalog, vocab, pv, ad)
+            se = (ad.take_rows(qs[state], action - 1) - float(target)) ** 2.0
             total = se if total is None else total + se
         loss = total * (1.0 / len(items))
         return float(loss.data), self._grads(loss, pv)

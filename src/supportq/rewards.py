@@ -16,7 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -247,16 +249,21 @@ class RemoteJudge:
         return Path(self.config.cache_dir) / key[:2] / f"{key}.json"
 
     def _cache_get(self, prompt: str) -> Optional[int]:
+        """The cached score; a missing, unreadable or corrupt entry is a miss."""
         path = self._cache_path(prompt)
-        if path is None or not path.exists():
+        if path is None:
             return None
-        return int(json.loads(path.read_text())["score"])
+        try:
+            return int(json.loads(path.read_text())["score"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     def _cache_put(self, prompt: str, value: int) -> None:
         path = self._cache_path(prompt)
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"score": value}))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")  # one per writer
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps({"score": value}))
+        os.replace(tmp, path)

@@ -230,10 +230,13 @@ def oracle_finite_horizon_q(succ_idx, succ_p, rewards, gamma, horizon):
 
 
 def oracle_seq_q_all(scorer, state, catalog, vocab):
-    """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer
-    and run one full forward pass on the autodiff tape over the whole sequence."""
+    """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer,
+    run one full forward pass on the autodiff tape over the whole sequence
+    (`forward`), and average the log-probabilities of the answer tokens."""
     values = []
     for action in catalog.ids:
         pair = encode_pair(state, action, catalog, vocab, scorer.window)
-        values.append(float(scorer._q_var(pair, scorer._param_vars()).data))
+        rows = scorer.forward(pair.tokens)
+        start, end = pair.action_span
+        values.append(sum(float(rows[i, pair.tokens[i]]) for i in range(start, end)) / (end - start))
     return values

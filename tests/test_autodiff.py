@@ -150,3 +150,44 @@ def test_forward_tape_is_freed_without_the_cyclic_collector(op):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_ndarray_on_the_left_defers_to_var():
+    x = RNG.normal(size=(3,))
+    v = ad.Var(x.copy())
+    out = np.full(3, 2.5) * v
+    assert isinstance(out, ad.Var)
+    ad.backward(ad.vsum(out))
+    np.testing.assert_array_equal(v.grad, np.full(3, 2.5))
+
+    a = RNG.normal(size=(2, 3))
+    w = ad.Var(RNG.normal(size=(3, 1)))
+    out = a @ w
+    assert isinstance(out, ad.Var)
+    np.testing.assert_array_equal(out.data, a @ w.data)
+    ad.backward(ad.vsum(out))
+    np.testing.assert_allclose(w.grad, a.sum(axis=0)[:, None], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("take_rows", lambda x: (x, np.array([2, 0, 2]))),
+        ("take_pairs", lambda x: (x, np.array([0, 3, 3]), np.array([4, 1, 1]))),
+        ("reshape", lambda x: (x, (6, 4))),
+        ("swapaxes", lambda x: (x, 0, 1)),
+        ("tanh", lambda x: (x,)),
+        ("softmax", lambda x: (x,)),
+        ("log_softmax", lambda x: (x,)),
+        ("layer_norm", lambda x: (x, RNG.normal(size=6), RNG.normal(size=6))),
+        ("gelu", lambda x: (x,)),
+    ],
+)
+def test_numpy_ops_match_the_tape_bit_for_bit(name, args):
+    # float64 only: in float32 the tape promotes Python constants to float64 0-d arrays
+    x = RNG.normal(size=(4, 6)) * 3.0
+    a = args(x)
+    taped = getattr(ad, name)(ad.Var(a[0]), *a[1:])
+    plain = getattr(ad.numpy_ops, name)(a[0].copy(), *a[1:])
+    assert plain.dtype == taped.data.dtype
+    np.testing.assert_array_equal(plain, taped.data)

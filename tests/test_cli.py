@@ -74,6 +74,8 @@ class TestConfig:
             load_run_config(overrides={"batch_size": 0})
         with pytest.raises(ConfigError):
             load_run_config(overrides={"learning_rate": -1})
+        with pytest.raises(ConfigError):
+            load_run_config(overrides={"vocab_max_size": 100})
 
     def test_bool_coercion(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -102,6 +104,12 @@ class TestTrainCommand:
         rc = main(["train", "--mode", "env", "--out-dir", str(tmp_path / "x"), *TINY])
         assert rc == 2
         assert "batch_size must be positive" in capsys.readouterr().err
+
+    def test_vocab_size_below_the_floor_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SUPPORTQ_VOCAB_MAX_SIZE", "100")
+        rc = main(["train", "--mode", "env", "--out-dir", str(tmp_path / "x"), *TINY])
+        assert rc == 2
+        assert "vocab_max_size must be at least" in capsys.readouterr().err
 
     def test_env_staged_alias_spelling(self, tmp_path):
         out = tmp_path / "alias"

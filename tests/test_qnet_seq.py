@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Speaker, Turn
 from supportq.encoding import encode_pair
 from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
+from supportq.qnet.seq import causal_mask
 
 from .conftest import fd_gradient, rel_error
 from .oracles import oracle_seq_q_all
@@ -304,3 +306,61 @@ class TestSharedPromptKernel:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+def test_config_needs_a_block():
+    # with no block there is no last block to cut to the answer's two rows
+    with pytest.raises(ValueError):
+        SeqConfig(vocab_size=300, n_layers=0)
+
+
+def test_causal_mask_is_additive_upper_triangle_in_the_config_dtype():
+    for dtype in (np.float32, np.float64):
+        mask = causal_mask(5, dtype)
+        assert mask.dtype == dtype
+        np.testing.assert_array_equal(mask, np.triu(np.full((5, 5), -1e30, dtype=dtype), k=1))
+
+
+class TestOnePassPerState:
+    def test_shared_state_items_match_single_item_calls(self, seq_scorer, tiny_state, catalog, small_vocab):
+        pair = [(tiny_state, 1, -0.4), (tiny_state, 4, 0.7)]
+        loss, grads = seq_scorer.loss_and_grads(pair, catalog, small_vocab)
+        singles = [seq_scorer.loss_and_grads([item], catalog, small_vocab) for item in pair]
+        assert loss == pytest.approx((singles[0][0] + singles[1][0]) / 2, abs=1e-12)
+        for name in grads:
+            np.testing.assert_allclose(
+                grads[name], (singles[0][1][name] + singles[1][1][name]) / 2, rtol=0, atol=1e-12
+            )
+
+    def test_shared_state_items_share_one_tape(self, seq_scorer, tiny_state, catalog, small_vocab):
+        def peak(items):
+            tracemalloc.start()
+            try:
+                seq_scorer.loss_and_grads(items, catalog, small_vocab)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([(tiny_state, 1, -0.4)])
+        assert peak([(tiny_state, 1, -0.4), (tiny_state, 4, 0.7)]) < 1.3 * one
+
+    @pytest.mark.parametrize("action", [0, 9])
+    def test_out_of_range_action_raises(self, seq_scorer, tiny_state, catalog, small_vocab, action):
+        assert len(catalog) == 8
+        with pytest.raises(KeyError):
+            seq_scorer.q_value(tiny_state, action, catalog, small_vocab)
+        with pytest.raises(KeyError):
+            seq_scorer.grad_q(tiny_state, action, catalog, small_vocab)
+
+
+@pytest.mark.parametrize("fixture", ["seq_scorer", "mlp_scorer"])
+def test_decisions_build_no_tape(request, fixture, tiny_state, catalog, small_vocab, monkeypatch):
+    scorer = request.getfixturevalue(fixture)
+    expected = scorer.q_all(tiny_state, catalog, small_vocab)
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("a Var was created")
+
+    monkeypatch.setattr(ad.Var, "__init__", no_tape)
+    np.testing.assert_array_equal(scorer.q_all(tiny_state, catalog, small_vocab), expected)
+    assert scorer.q_value(tiny_state, 3, catalog, small_vocab) == pytest.approx(expected[2], abs=1e-12)

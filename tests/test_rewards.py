@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from supportq.core import Transition, derive_transitions
+from supportq.encoding import render_judge_prompt
 from supportq.env import StagedEnv, StagedEnvConfig
 from supportq.rewards import (
     CatalogTooSmall,
@@ -233,3 +235,43 @@ class TestRemoteJudge:
         assert judge.score(bare_state, 1, "resp") == 5
         assert judge.score(bare_state, 1, "resp") == 5  # no queue entry left: cache hit
         assert _Reply.calls == 1
+
+    def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(self, judge_server, bare_state, tmp_path):
+        _Reply.responses_queue = [(200, "2")]
+        cfg = RemoteJudgeConfig(
+            url=judge_server, max_retries=0, backoff=0.0, timeout=5.0, cache_dir=str(tmp_path)
+        )
+        judge = RemoteJudge(cfg)
+        path = judge._cache_path(render_judge_prompt(bare_state, "resp"))
+        path.parent.mkdir(parents=True)
+        path.write_text('{"score": ')
+        assert judge.score(bare_state, 1, "resp") == 2
+        assert json.loads(path.read_text()) == {"score": 2}
+        assert judge.score(bare_state, 1, "resp") == 2  # now a cache hit
+        assert _Reply.calls == 1
+
+    def test_concurrent_cache_writers_do_not_collide(self, tmp_path):
+        judge = RemoteJudge(RemoteJudgeConfig(url="http://127.0.0.1:9", cache_dir=str(tmp_path)))
+        errors = []
+
+        def write(value):
+            try:
+                for _ in range(50):
+                    judge._cache_put("same prompt", value)
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(v,)) for v in range(1, 6) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert judge._cache_get("same prompt") in range(1, 6)
+        assert not list(tmp_path.rglob("*.tmp"))

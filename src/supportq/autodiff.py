@@ -88,8 +88,14 @@ class Var:
         return power(self, exponent)
 
 
-def as_var(x: ArrayLike) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x))
+def as_var(x: ArrayLike, like: Optional[ArrayLike] = None) -> Var:
+    """`x` on the tape; a Python scalar takes the dtype of a `Var` `like`, as
+    numpy's weak scalars do, so float32 stays float32."""
+    if isinstance(x, Var):
+        return x
+    if type(x) in (int, float) and isinstance(like, Var):
+        return Var(np.asarray(x, dtype=like.data.dtype))
+    return Var(np.asarray(x))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -103,21 +109,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: ArrayLike, b: ArrayLike) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = as_var(a, b), as_var(b, a)
     out = Var(a.data + b.data, (a, b))
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
     return out
 
 
 def sub(a: ArrayLike, b: ArrayLike) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = as_var(a, b), as_var(b, a)
     out = Var(a.data - b.data, (a, b))
     out._vjp = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
     return out
 
 
 def mul(a: ArrayLike, b: ArrayLike) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = as_var(a, b), as_var(b, a)
     out = Var(a.data * b.data, (a, b))
     out._vjp = lambda g: (
         _unbroadcast(g * b.data, a.shape),
@@ -127,7 +133,7 @@ def mul(a: ArrayLike, b: ArrayLike) -> Var:
 
 
 def div(a: ArrayLike, b: ArrayLike) -> Var:
-    a, b = as_var(a), as_var(b)
+    a, b = as_var(a, b), as_var(b, a)
     out = Var(a.data / b.data, (a, b))
     out._vjp = lambda g: (
         _unbroadcast(g / b.data, a.shape),
@@ -239,10 +245,6 @@ def take_pairs(a: Var, rows: np.ndarray, cols: np.ndarray) -> Var:
 
     out._vjp = vjp
     return out
-
-
-def stop_gradient(a: ArrayLike) -> Var:
-    return Var(as_var(a).data)
 
 
 # -- composites --------------------------------------------------------------

@@ -101,7 +101,6 @@ class RunConfig:
     seq_heads: int = 2
     eval_episodes: int = 120
     out_dir: str = "runs/latest"
-    deterministic: bool = False
 
     def validate(self) -> None:
         if self.mode not in ("env", "dataset"):
@@ -187,17 +186,6 @@ def load_run_config(
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
-
-
-def _limit_threads() -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except Exception:
-        pass
 
 
 def _sha256(path: Path) -> str:
@@ -543,7 +531,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rollout-episodes", dest="rollout_episodes", type=int)
     parser.add_argument("--demo-episodes", dest="demo_episodes", type=int)
     parser.add_argument("--eval-episodes", dest="eval_episodes", type=int)
-    parser.add_argument("--deterministic", action="store_const", const=True)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -585,8 +572,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         logging.basicConfig(stream=sys.stderr, format="%(message)s")
     try:
         cfg = _config_from_args(args)
-        if cfg.deterministic:
-            _limit_threads()
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "train":

@@ -1,17 +1,17 @@
 """Trainable Q-scorers over dialogue states.
 
 Two interchangeable backends implement the same operations (`q_value`,
-`q_all`, `select_strategy`, `grad_q`, `loss_and_grads`), each a subclass
-of the `Scorer` base in `base.py`, which holds the code they share:
+`q_all`, `select_strategy`, `grad_q`, `loss_and_grads`) as subclasses of the
+`Scorer` base in `base.py`.  Each computes Q(s, ·) for every action in one pass:
 
 * `SeqScorer` -- a small causal transformer; Q(s, a) is the mean
   log-probability of the appended answer tokens " (k)", a space and one
-  answer word, so one pass over the shared prompt gives Q(s, ·).
-* `MlpScorer` -- a feed-forward net over hand-built state/action features;
-  faster, and exactly comparable against the tabular oracle.
+  answer word, all scored from one pass over the shared prompt.
+* `MlpScorer` -- a feed-forward net over the state's (K, F) feature block,
+  one row per action; faster, and exactly comparable against the oracle.
 
-Each backend writes its forward once, against an array namespace: Q values
-run it on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
+Each backend writes `_q` once, against an array namespace: Q values run it
+on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
 """
 
 from .base import BackendMismatch

@@ -1,10 +1,10 @@
 """Shared skeleton of the scorer backends.
 
-`Scorer` holds what both backends do the same way: seeded parameter
-creation and validation against `param_specs(config)`, copies and state
-dicts, gathering gradients off the tape, the finiteness check on Q(s, ·) and
-greedy selection.  A backend supplies `param_specs` and its own `q_value`,
-`q_all`, `grad_q` and `loss_and_grads`.
+`Scorer` holds what both backends do the same way: seeded parameters checked
+against `param_specs(config)`, copies and state dicts, `grad_q`, gathering
+gradients off the tape, the finiteness check on Q(s, ·) and greedy selection.
+A backend supplies `param_specs` and `_q`, Q(s, ·) from one pass; `q_value`,
+`q_all` and `loss_and_grads` stay per class, where perfbench's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ class Scorer:
 
     def _param_vars(self) -> dict[str, ad.Var]:
         return {n: ad.Var(a) for n, a in self.params.items()}
+
+    def grad_q(self, state, action: int, catalog, vocab=None) -> dict[str, np.ndarray]:
+        """Analytic gradient of q_value with respect to every parameter."""
+        catalog.by_id(action)
+        pv = self._param_vars()
+        return self._grads(ad.take_rows(self._q(state, catalog, vocab, pv, ad), action - 1), pv)
 
     @staticmethod
     def _grads(out: ad.Var, pv: dict[str, ad.Var]) -> dict[str, np.ndarray]:

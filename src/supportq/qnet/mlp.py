@@ -1,11 +1,11 @@
 """Feature-MLP Q-scorer.
 
-A deterministic feature map turns (state, action) into a fixed-size vector:
-one-hot emotion, one-hot action, the stage of the last supporter strategy,
-a bucketed history length, and a hashed bag of query words.  A small tanh
-network maps features to a scalar Q.  On the staged simulator these features
-encode the hidden environment state losslessly, which makes the learned Q
-exactly comparable to the dynamic-programming oracle.
+A deterministic feature map turns a state into a (K, F) block, one row per
+action: one-hot emotion, the row's action one-hot, the stage of the last
+supporter strategy, a bucketed history length, and a hashed bag of query
+words.  A small tanh network maps each row to a scalar, so one pass over the
+block gives Q(s, ·).  On the staged simulator these features encode the hidden
+environment state losslessly, making Q exactly comparable to the DP oracle.
 """
 
 from __future__ import annotations
@@ -43,34 +43,31 @@ def feature_dim(fc: FeatureConfig, n_actions: int) -> int:
     return len(fc.emotions) + n_actions + 5 + len(fc.history_bucket_edges) + 1 + fc.hash_dim
 
 
-def extract_features(
-    state: DialogueState, action: int, catalog: StrategyCatalog, fc: FeatureConfig
-) -> np.ndarray:
-    """Deterministic feature vector; identical inputs give identical vectors."""
+def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: FeatureConfig) -> np.ndarray:
+    """(K, F) block; row a - 1 is the deterministic feature vector of (state, a)."""
     k = len(catalog)
-    out = np.zeros(feature_dim(fc, k), dtype=np.float64)
+    row = np.zeros(feature_dim(fc, k), dtype=np.float64)
     offset = 0
 
     label = state.emotion.label.lower()
     if label in fc.emotions:
-        out[offset + fc.emotions.index(label)] = 1.0
+        row[offset + fc.emotions.index(label)] = 1.0
     offset += len(fc.emotions)
 
-    catalog.by_id(action)
-    out[offset + action - 1] = 1.0
+    actions = offset  # the one-hot block, set per row below
     offset += k
 
     last = state.last_supporter_strategy()
     last_stage = None if last is None else catalog.stage_of(last)
-    out[offset + _STAGE_SLOT[last_stage]] = 1.0
+    row[offset + _STAGE_SLOT[last_stage]] = 1.0
     offset += 5
 
-    out[offset + bisect_right(fc.history_bucket_edges, len(state.history))] = 1.0
+    row[offset + bisect_right(fc.history_bucket_edges, len(state.history))] = 1.0
     offset += len(fc.history_bucket_edges) + 1
 
     for word in state.query.lower().split():
-        out[offset + _fnv1a(word) % fc.hash_dim] += 1.0
-    return out
+        row[offset + _fnv1a(word) % fc.hash_dim] += 1.0
+    return row + np.eye(k, len(row), actions)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class MlpScorer(Scorer):
             specs.append((f"layers.{i}.b", (d_out,), "zero"))
         return specs
 
-    def _q(self, feats: np.ndarray, params: dict, ops):
+    def _net(self, feats: np.ndarray, params: dict, ops):
         """(B,) Q values for a (B, F) feature batch; `ops` as in `SeqScorer._hidden`."""
         x = feats
         for i in range(len(self.config.hidden) + 1):
@@ -101,23 +98,16 @@ class MlpScorer(Scorer):
                 x = ops.tanh(x)
         return ops.reshape(x, (feats.shape[0],))
 
-    def _features(self, state: DialogueState, action: int, catalog: StrategyCatalog) -> np.ndarray:
-        return extract_features(state, action, catalog, self.config.features)
+    def _q(self, state: DialogueState, catalog: StrategyCatalog, vocab, params: dict, ops):
+        """Q(s, ·) from one pass over the state's feature block."""
+        return self._net(extract_features(state, catalog, self.config.features), params, ops)
 
     def q_value(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> float:
-        feats = self._features(state, action, catalog)[None, :]
-        return float(self._q(feats, self.params, ad.numpy_ops)[0])
+        catalog.by_id(action)
+        return float(self._q(state, catalog, vocab, self.params, ad.numpy_ops)[action - 1])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
-        feats = np.stack([self._features(state, a, catalog) for a in catalog.ids])
-        return self._finite(self._q(feats, self.params, ad.numpy_ops))
-
-    def grad_q(
-        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None
-    ) -> dict[str, np.ndarray]:
-        pv = self._param_vars()
-        q = ad.vmean(self._q(self._features(state, action, catalog)[None, :], pv, ad))
-        return self._grads(q, pv)
+        return self._finite(self._q(state, catalog, vocab, self.params, ad.numpy_ops))
 
     def loss_and_grads(
         self,
@@ -127,9 +117,10 @@ class MlpScorer(Scorer):
     ) -> tuple[float, dict[str, np.ndarray]]:
         if not items:
             raise ValueError("empty batch")
-        feats = np.stack([self._features(s, a, catalog) for s, a, _ in items])
+        fc = self.config.features
+        feats = np.stack([extract_features(s, catalog, fc)[catalog.by_id(a).id - 1] for s, a, _ in items])
         targets = np.array([t for _, _, t in items], dtype=np.float64)
         pv = self._param_vars()
-        diff = self._q(feats, pv, ad) - targets
+        diff = self._net(feats, pv, ad) - targets
         loss = ad.vmean(diff * diff)
         return float(loss.data), self._grads(loss, pv)

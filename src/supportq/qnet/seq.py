@@ -186,14 +186,6 @@ class SeqScorer(Scorer):
         q = self._q(state, catalog, vocab, self.params, ad.numpy_ops)
         return self._finite(q.astype(np.float64))
 
-    def grad_q(
-        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> dict[str, np.ndarray]:
-        """Analytic gradient of q_value with respect to every parameter."""
-        catalog.by_id(action)
-        pv = self._param_vars()
-        return self._grads(ad.take_rows(self._q(state, catalog, vocab, pv, ad), action - 1), pv)
-
     def loss_and_grads(
         self,
         items: list[tuple[DialogueState, int, float]],

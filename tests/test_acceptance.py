@@ -465,7 +465,7 @@ def test_criterion_9_determinism(tmp_path):
         out = tmp_path / sub
         args = ["--mode", "env", "--reward", "imit", "--demo-episodes", "30",
                 "--epochs", "1", "--eval-episodes", "15", "--seed", "5",
-                "--out-dir", str(out), "--deterministic"]
+                "--out-dir", str(out)]
         assert cli_main(["train", *args]) == 0
         assert cli_main(["eval", "--checkpoint", str(out / "checkpoint.npz"), *args]) == 0
         digests.append(

@@ -79,10 +79,14 @@ class TestConfig:
 
     def test_bool_coercion(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("deterministic = true\nsample_in_order = 0\n")
-        cfg = load_run_config(str(config))
-        assert cfg.deterministic is True
-        assert cfg.sample_in_order is False
+        for raw, expected in (("true", True), ("0", False)):
+            config.write_text(f"sample_in_order = {raw}\n")
+            assert load_run_config(str(config)).sample_in_order is expected
+
+    def test_deterministic_is_an_unknown_override(self):
+        # the flag is gone: it changed no thread count once numpy had loaded its BLAS
+        with pytest.raises(ConfigError, match="unknown environment override SUPPORTQ_DETERMINISTIC"):
+            load_run_config(environ={"SUPPORTQ_DETERMINISTIC": "1"})
 
 
 class TestTrainCommand:
@@ -189,7 +193,7 @@ class TestEvalCommand:
         ckpt_a, ckpt_b = train(out_a), train(out_b)
         for out, ckpt in ((out_a, ckpt_a), (out_b, ckpt_b)):
             rc = main(["eval", "--mode", "env", "--checkpoint", str(ckpt),
-                       "--out-dir", str(out), *TINY, "--deterministic"])
+                       "--out-dir", str(out), *TINY])
             assert rc == 0
         assert sha(out_a / "report.json") == sha(out_b / "report.json")
 

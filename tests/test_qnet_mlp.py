@@ -23,19 +23,18 @@ from .conftest import fd_gradient, rel_error
 class TestFeatures:
     def test_identical_inputs_identical_vectors(self, tiny_state, catalog):
         fc = FeatureConfig()
-        a = extract_features(tiny_state, 4, catalog, fc)
-        b = extract_features(tiny_state, 4, catalog, fc)
+        a = extract_features(tiny_state, catalog, fc)[3]
+        b = extract_features(tiny_state, catalog, fc)[3]
         np.testing.assert_array_equal(a, b)
 
     def test_query_change_touches_only_hash_block(self, tiny_state, catalog):
         fc = FeatureConfig()
-        a = extract_features(tiny_state, 4, catalog, fc)
+        a = extract_features(tiny_state, catalog, fc)[3]
         b = extract_features(
             dataclasses.replace(tiny_state, query="A completely different question?"),
-            4,
             catalog,
             fc,
-        )
+        )[3]
         head = feature_dim(fc, len(catalog)) - fc.hash_dim
         np.testing.assert_array_equal(a[:head], b[:head])
         assert not np.array_equal(a[head:], b[head:])
@@ -44,7 +43,7 @@ class TestFeatures:
         fc = FeatureConfig(hash_dim=16)
         expected = len(fc.emotions) + len(catalog) + 5 + len(fc.history_bucket_edges) + 1 + 16
         assert feature_dim(fc, len(catalog)) == expected
-        assert extract_features(tiny_state, 1, catalog, fc).shape == (expected,)
+        assert extract_features(tiny_state, catalog, fc).shape == (len(catalog), expected)
 
     def test_blocks_encode_the_right_things(self, catalog):
         fc = FeatureConfig()
@@ -57,20 +56,28 @@ class TestFeatures:
             ),
             "what now?",
         )
-        vec = extract_features(state, 2, catalog, fc)
+        vec = extract_features(state, catalog, fc)[1]
         e = len(fc.emotions)
         assert vec[fc.emotions.index("sadness")] == 1.0
         assert vec[e + 1] == 1.0  # action 2 one-hot
         assert vec[e + len(catalog) + 3] == 1.0  # last-strategy stage III slot
         no_history = DialogueState("d", Emotion("sadness"), (), "what now?")
-        vec0 = extract_features(no_history, 2, catalog, fc)
+        vec0 = extract_features(no_history, catalog, fc)[1]
         assert vec0[e + len(catalog) + 0] == 1.0  # "nothing yet" slot
 
     def test_unknown_emotion_gives_empty_block(self, catalog):
         fc = FeatureConfig()
         state = DialogueState("d", Emotion("boredom"), (), "q?")
-        vec = extract_features(state, 1, catalog, fc)
+        vec = extract_features(state, catalog, fc)[0]
         assert vec[: len(fc.emotions)].sum() == 0.0
+
+    def test_rows_differ_only_in_the_action_one_hot(self, tiny_state, catalog):
+        fc = FeatureConfig()
+        block = extract_features(tiny_state, catalog, fc)
+        k, e = len(catalog), len(fc.emotions)
+        np.testing.assert_array_equal(block[:, e : e + k], np.eye(k))
+        rest = np.delete(block, np.s_[e : e + k], axis=1)
+        np.testing.assert_array_equal(rest, np.repeat(rest[:1], k, axis=0))
 
 
 class TestScorer:
@@ -81,7 +88,18 @@ class TestScorer:
     def test_q_all_matches_single_calls(self, mlp_scorer, tiny_state, catalog):
         qs = mlp_scorer.q_all(tiny_state, catalog)
         singles = [mlp_scorer.q_value(tiny_state, a, catalog) for a in catalog.ids]
-        np.testing.assert_allclose(qs, singles, atol=1e-12)
+        np.testing.assert_array_equal(qs, singles)
+
+    def test_q_all_extracts_features_once(self, mlp_scorer, tiny_state, catalog, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return extract_features(*args)
+
+        monkeypatch.setattr("supportq.qnet.mlp.extract_features", counted)
+        mlp_scorer.q_all(tiny_state, catalog)
+        assert len(calls) == 1
 
     def test_select_is_argmax(self, mlp_scorer, tiny_state, catalog):
         qs = mlp_scorer.q_all(tiny_state, catalog)

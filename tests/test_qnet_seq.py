@@ -288,6 +288,14 @@ class TestSharedPromptKernel:
             atol=1e-5,
         )
 
+    def test_float32_gradients_stay_float32(self, tiny_state, catalog, small_vocab):
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_ctx=512, dtype="float32")
+        scorer = SeqScorer(cfg, seed=3)
+        _, grads = scorer.loss_and_grads([(tiny_state, 2, 0.5), (tiny_state, 6, -0.5)], catalog, small_vocab)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        grads = scorer.grad_q(tiny_state, 2, catalog, small_vocab)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
     def test_q_all_memory_stays_bounded_on_a_long_prompt(self, catalog, small_vocab):
         history = tuple(
             Turn(Speaker.SEEKER if i % 2 == 0 else Speaker.SUPPORTER, f"turn {i}: I feel stuck.")
@@ -344,13 +352,17 @@ class TestOnePassPerState:
         one = peak([(tiny_state, 1, -0.4)])
         assert peak([(tiny_state, 1, -0.4), (tiny_state, 4, 0.7)]) < 1.3 * one
 
+    @pytest.mark.parametrize("fixture", ["seq_scorer", "mlp_scorer"])
     @pytest.mark.parametrize("action", [0, 9])
-    def test_out_of_range_action_raises(self, seq_scorer, tiny_state, catalog, small_vocab, action):
+    def test_out_of_range_action_raises(self, request, fixture, tiny_state, catalog, small_vocab, action):
+        scorer = request.getfixturevalue(fixture)
         assert len(catalog) == 8
         with pytest.raises(KeyError):
-            seq_scorer.q_value(tiny_state, action, catalog, small_vocab)
+            scorer.q_value(tiny_state, action, catalog, small_vocab)
         with pytest.raises(KeyError):
-            seq_scorer.grad_q(tiny_state, action, catalog, small_vocab)
+            scorer.grad_q(tiny_state, action, catalog, small_vocab)
+        with pytest.raises(KeyError):
+            scorer.loss_and_grads([(tiny_state, action, 0.5)], catalog, small_vocab)
 
 
 @pytest.mark.parametrize("fixture", ["seq_scorer", "mlp_scorer"])

@@ -246,7 +246,7 @@ class TestFit:
             for i in range(16)
         ]
         fc = FeatureConfig()
-        rows = {tuple(extract_features(s, 1, two, fc)) for s in states}
+        rows = {tuple(extract_features(s, two, fc)[0]) for s in states}
         assert len(rows) == len(states)  # separable: no feature collisions
         rng = np.random.default_rng(5)
         gold = {s.query: int(rng.integers(1, 3)) for s in states}

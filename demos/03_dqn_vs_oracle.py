@@ -2,7 +2,7 @@
 
 The staged environment's hidden state space is small enough to enumerate, so
 value iteration gives the true optimal Q and policy.  A feature-MLP scorer
-trained with the replay-buffer / target-network loop should agree with that
+trained with the replay-sampling / target-network loop should agree with that
 oracle on the states it visited.
 """
 

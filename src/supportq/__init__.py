@@ -2,8 +2,8 @@
 
 A trainable scorer reads a dialogue state rendered as a multi-choice
 instruction and treats the averaged log-probability of the appended answer
-tokens as Q(s, a); a DQN loop with replay buffer and target network fits it
-to Bellman targets under imitation or judge-distilled rewards.  A staged
+tokens as Q(s, a); a DQN loop with replay sampling and a target network fits
+it to Bellman targets under imitation or judge-distilled rewards.  A staged
 synthetic environment with an exact dynamic-programming oracle makes the
 whole pipeline verifiable end to end.
 """
@@ -81,7 +81,6 @@ from .rewards import (
 )
 from .training import (
     Adam,
-    ReplayBuffer,
     TrainerConfig,
     TrainLog,
     fit,

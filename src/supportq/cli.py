@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .core import StrategyCatalog, default_catalog, derive_transitions
 from .encoding import MIN_VOCAB_SIZE, Vocabulary, build_vocab, render_mcq
-from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, response_template
+from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, collect_transitions, response_template
 from .ingest import (
     ParseError,
     UnknownEmotion,
@@ -77,16 +77,15 @@ class RunConfig:
     mode: str = "env"  # env | dataset
     backend: str = "mlp"  # mlp | seq
     reward: str = "imit"  # imit | distill | env
-    gamma: float = 0.85
-    learning_rate: float = 0.0  # 0 means backend default
-    batch_size: int = 64
-    target_sync_every: int = 10
-    epochs: int = 4
+    gamma: float = TrainerConfig.gamma
+    learning_rate: float = TrainerConfig.learning_rate  # 0 means the scorer's default
+    batch_size: int = TrainerConfig.batch_size
+    target_sync_every: int = TrainerConfig.target_sync_every
+    epochs: int = TrainerConfig.epochs
     window: int = 2048
-    seed: int = 0
-    grad_clip: float = 1.0
-    buffer_capacity: int = 12_000
-    sample_in_order: bool = False
+    seed: int = TrainerConfig.seed
+    grad_clip: float = TrainerConfig.grad_clip
+    sample_in_order: bool = TrainerConfig.sample_in_order
     rollout_episodes: int = 1000
     demo_episodes: int = 300
     demo_fidelity: float = 0.65
@@ -117,17 +116,18 @@ class RunConfig:
             raise ConfigError("window must be positive")
         if self.vocab_max_size < MIN_VOCAB_SIZE:
             raise ConfigError(f"vocab_max_size must be at least {MIN_VOCAB_SIZE}")
+        if not 0.0 <= self.demo_fidelity <= 1.0:
+            raise ConfigError("demo_fidelity must be in [0, 1]")
         try:
             self.trainer_config()
+            _env_config(self)
+            _scorer_config(self, len(default_catalog()), self.vocab_max_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def trainer_config(self) -> TrainerConfig:
-        """The training settings, from the fields this config shares with TrainerConfig."""
-        shared = {
-            f.name: getattr(self, f.name) for f in dataclasses.fields(TrainerConfig) if f.name in _FIELDS
-        }
-        return TrainerConfig(**{**shared, "learning_rate": self.learning_rate or None})
+        """The training settings: every TrainerConfig field is a field of this config."""
+        return TrainerConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainerConfig)})
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -141,10 +141,13 @@ def _coerce(name: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: expected {kind}, got {raw!r}") from None
     return raw
 
 
@@ -220,10 +223,12 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs: list[str]) 
 # -- pipeline pieces -----------------------------------------------------------
 
 
+def _env_config(cfg: RunConfig) -> StagedEnvConfig:
+    return StagedEnvConfig(horizon=cfg.env_horizon, seed=cfg.seed)
+
+
 def _make_env(cfg: RunConfig, catalog: StrategyCatalog) -> StagedEnv:
-    return StagedEnv(
-        StagedEnvConfig(horizon=cfg.env_horizon, seed=cfg.seed), catalog=catalog
-    )
+    return StagedEnv(_env_config(cfg), catalog=catalog)
 
 
 def _training_episodes(cfg: RunConfig, catalog: StrategyCatalog) -> list:
@@ -257,24 +262,24 @@ def _vocab_corpus(episodes: Sequence, catalog: StrategyCatalog) -> list[str]:
     return texts
 
 
-def _build_scorer(cfg: RunConfig, catalog: StrategyCatalog, vocab: Vocabulary):
+def _scorer_config(cfg: RunConfig, n_actions: int, vocab_size: int):
     if cfg.backend == "seq":
-        return SeqScorer(
-            SeqConfig(
-                vocab_size=vocab.size,
-                d_model=cfg.seq_d_model,
-                n_heads=cfg.seq_heads,
-                n_layers=cfg.seq_layers,
-                n_ctx=max(cfg.window, 256),
-            ),
-            seed=cfg.seed,
-            window=cfg.window,
+        return SeqConfig(
+            vocab_size=vocab_size,
+            d_model=cfg.seq_d_model,
+            n_heads=cfg.seq_heads,
+            n_layers=cfg.seq_layers,
+            n_ctx=max(cfg.window, 256),
         )
     hidden = tuple(int(x) for x in cfg.mlp_hidden.split(",") if x)
-    return MlpScorer(
-        MlpConfig(n_actions=len(catalog), features=FeatureConfig(), hidden=hidden),
-        seed=cfg.seed,
-    )
+    return MlpConfig(n_actions=n_actions, features=FeatureConfig(), hidden=hidden)
+
+
+def _build_scorer(cfg: RunConfig, catalog: StrategyCatalog, vocab: Vocabulary):
+    config = _scorer_config(cfg, len(catalog), vocab.size)
+    if cfg.backend == "seq":
+        return SeqScorer(config, seed=cfg.seed, window=cfg.window)
+    return MlpScorer(config, seed=cfg.seed)
 
 
 def _train(cfg: RunConfig, out: Path) -> None:
@@ -288,7 +293,8 @@ def _train(cfg: RunConfig, out: Path) -> None:
         corpus.extend(response_template(s.name) for s in catalog)
         vocab = build_vocab(corpus, cfg.vocab_max_size)
         scorer = _build_scorer(cfg, catalog, vocab)
-        log = fit(env, scorer, catalog, vocab, cfg.trainer_config())
+        transitions = collect_transitions(env, cfg.rollout_episodes, seed=cfg.seed)
+        log = fit(transitions, scorer, catalog, vocab, cfg.trainer_config())
     else:
         episodes = _training_episodes(cfg, catalog)
         vocab = build_vocab(_vocab_corpus(episodes, catalog), cfg.vocab_max_size)

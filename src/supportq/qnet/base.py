@@ -46,6 +46,7 @@ def argmax_smallest_id(values: np.ndarray) -> int:
 
 class Scorer:
     backend: str
+    default_learning_rate: float  # Adam step size when the trainer sets none
     dtype = np.float64  # float type of the parameters
 
     def __init__(self, config, seed: int = 0, params: Optional[dict[str, np.ndarray]] = None):

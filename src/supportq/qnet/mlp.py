@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .base import ParamSpec, Scorer
 _STAGE_SLOT = {None: 0, Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: 4}
 
 
+@lru_cache(maxsize=None)
 def _fnv1a(text: str) -> int:
     h = 0x811C9DC5
     for byte in text.encode("utf-8"):
@@ -76,9 +78,14 @@ class MlpConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
     hidden: tuple[int, ...] = (64, 64)
 
+    def __post_init__(self) -> None:
+        if any(width <= 0 for width in self.hidden):
+            raise ValueError("hidden layer widths must be positive")
+
 
 class MlpScorer(Scorer):
     backend = "mlp"
+    default_learning_rate = 1.0e-3
 
     @staticmethod
     def param_specs(config: MlpConfig) -> list[ParamSpec]:

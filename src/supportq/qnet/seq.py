@@ -62,6 +62,7 @@ def causal_mask(t: int, dtype) -> np.ndarray:
 
 class SeqScorer(Scorer):
     backend = "seq"
+    default_learning_rate = 5.0e-6
 
     def __init__(
         self,

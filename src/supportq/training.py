@@ -1,10 +1,11 @@
-"""DQN-style training of a Q-scorer.
+"""DQN-style training of a Q-scorer on a fixed set of transitions.
 
-Transitions go into a FIFO replay buffer; batches are sampled uniformly with
-replacement (or swept in order); targets come from a periodically
-synchronized copy of the scorer, so no gradient ever flows through the
-target side; the squared TD error is minimized with Adam under a global
-gradient-norm clip.
+The training set is a list of reward-assigned transitions, fixed before the
+first step as in fitted Q iteration; batches are sampled uniformly with
+replacement from the whole list (or swept in order); targets come from a
+periodically synchronized copy of the scorer, so no gradient ever flows
+through the target side; the squared TD error is minimized with Adam under a
+global gradient-norm clip.
 
 Everything is seeded and single-threaded by default, so a fixed
 configuration reproduces its loss sequence bit for bit.
@@ -14,14 +15,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .core import StrategyCatalog, Transition
 from .encoding import Vocabulary
-from .env import StagedEnv, collect_transitions
 
 
 class InsufficientData(ValueError):
@@ -35,68 +34,24 @@ class MissingNextState(ValueError):
 @dataclass(frozen=True)
 class TrainerConfig:
     gamma: float = 0.85
-    learning_rate: Optional[float] = None  # backend default when None
+    learning_rate: float = 0.0  # 0 means the scorer's default_learning_rate
     batch_size: int = 64
     target_sync_every: int = 10
     epochs: int = 4
     seed: int = 0
     grad_clip: float = 1.0
-    buffer_capacity: int = 12_000
     sample_in_order: bool = False
-    rollout_episodes: int = 1000  # for environment sources
-    checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        for name in ("batch_size", "target_sync_every", "epochs", "buffer_capacity"):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must not be negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
+        for name in ("batch_size", "target_sync_every", "epochs", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def resolved_learning_rate(self, backend: str) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return 5.0e-6 if backend == "seq" else 1.0e-3
-
-
-class ReplayBuffer:
-    """Fixed-capacity FIFO store with seeded uniform sampling (with replacement)."""
-
-    def __init__(self, capacity: int = 12_000, seed: int = 0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: list[Transition] = []
-        self._next = 0
-        self._rng = np.random.default_rng(seed)
-
-    def add(self, item: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._next] = item
-        self._next = (self._next + 1) % self.capacity
-
-    def extend(self, items: Iterable[Transition]) -> None:
-        for item in items:
-            self.add(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        """Oldest-to-newest iteration."""
-        if len(self._items) < self.capacity:
-            return iter(list(self._items))
-        return iter(self._items[self._next :] + self._items[: self._next])
-
-    def sample(self, n: int) -> list[Transition]:
-        if not self._items:
-            raise InsufficientData("replay buffer is empty")
-        picks = self._rng.integers(0, len(self._items), size=n)
-        return [self._items[i] for i in picks]
 
 
 class Adam:
@@ -192,7 +147,7 @@ class TrainLog:
 
 def sync_target(scorer, target) -> None:
     """Make the target an exact deep copy of the online scorer."""
-    target.load_state_dict({n: a.copy() for n, a in scorer.state_dict().items()})
+    target.load_state_dict(scorer.state_dict())
 
 
 def compute_targets(
@@ -217,7 +172,7 @@ def train_step(
     cfg: TrainerConfig,
     catalog: StrategyCatalog,
     vocab: Optional[Vocabulary],
-    optimizer: Optional[Adam] = None,
+    optimizer: Adam,
 ) -> tuple[float, float]:
     """One optimizer step on the mean squared TD error of `batch`.
 
@@ -229,61 +184,40 @@ def train_step(
     items = [(tr.state, tr.action, float(t)) for tr, t in zip(batch, targets)]
     loss, grads = scorer.loss_and_grads(items, catalog, vocab)
     clip_global_norm(grads, cfg.grad_clip)
-    if optimizer is None:
-        optimizer = Adam(cfg.resolved_learning_rate(scorer.backend))
     optimizer.step(scorer.params, grads)
     return loss, float(targets.mean())
 
 
 def fit(
-    source: Union[list[Transition], StagedEnv],
+    transitions: list[Transition],
     scorer,
     catalog: StrategyCatalog,
     vocab: Optional[Vocabulary],
     cfg: TrainerConfig,
-    checkpoint_dir=None,
 ) -> TrainLog:
-    """Fill the replay buffer from `source` and run the DQN loop.
+    """Run the DQN loop over a list of reward-assigned transitions.
 
-    `source` is either a list of reward-assigned transitions or an
-    environment (rolled out with a seeded uniform-random policy).  Epochs
-    count passes over the collected dataset; the target net syncs every
-    `target_sync_every` optimizer steps.  With `checkpoint_dir` set, the
-    scorer is snapshotted every `cfg.checkpoint_every` steps.
+    Every step draws its batch from the whole list.  Epochs count passes
+    over the list; the target net syncs every `target_sync_every` optimizer
+    steps.
     """
-    if isinstance(source, StagedEnv):
-        transitions = collect_transitions(source, cfg.rollout_episodes, seed=cfg.seed)
-    else:
-        transitions = list(source)
-    if len(transitions) < cfg.batch_size:
-        raise InsufficientData(
-            f"need at least {cfg.batch_size} transitions, got {len(transitions)}"
-        )
-    buffer = ReplayBuffer(cfg.buffer_capacity, seed=cfg.seed + 1)
-    buffer.extend(transitions)
-    stored = list(buffer)
-
+    n = len(transitions)
+    if n < cfg.batch_size:
+        raise InsufficientData(f"need at least {cfg.batch_size} transitions, got {n}")
+    rng = np.random.default_rng(cfg.seed + 1)
     target = scorer.clone()
-    optimizer = Adam(cfg.resolved_learning_rate(scorer.backend))
+    optimizer = Adam(cfg.learning_rate or scorer.default_learning_rate)
     log = TrainLog()
-    n_steps = cfg.epochs * (len(transitions) // cfg.batch_size)
-    for step in range(n_steps):
+    for step in range(cfg.epochs * (n // cfg.batch_size)):
         if cfg.sample_in_order:
-            start = (step * cfg.batch_size) % len(stored)
-            batch = [stored[(start + i) % len(stored)] for i in range(cfg.batch_size)]
+            start = step * cfg.batch_size
+            picks = [(start + i) % n for i in range(cfg.batch_size)]
         else:
-            batch = buffer.sample(cfg.batch_size)
+            picks = rng.integers(0, n, size=cfg.batch_size)
+        batch = [transitions[i] for i in picks]
         loss, mean_target = train_step(scorer, target, batch, cfg, catalog, vocab, optimizer)
         synced = (step + 1) % cfg.target_sync_every == 0
         if synced:
             sync_target(scorer, target)
         log.append(step, loss, mean_target, synced)
-        if (
-            checkpoint_dir is not None
-            and cfg.checkpoint_every > 0
-            and (step + 1) % cfg.checkpoint_every == 0
-        ):
-            from .qnet import save_scorer
-
-            save_scorer(Path(checkpoint_dir) / f"step_{step + 1:06d}.npz", scorer)
     return log

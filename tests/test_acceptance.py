@@ -59,9 +59,7 @@ def staged_run():
         rollout_env, 1000, seed=TRAIN_SEED, with_latents=True
     )
     scorer = MlpScorer(MlpConfig(n_actions=len(CATALOG)), seed=TRAIN_SEED)
-    cfg = TrainerConfig(
-        gamma=0.85, seed=TRAIN_SEED, rollout_episodes=1000, epochs=4, learning_rate=3e-3
-    )
+    cfg = TrainerConfig(gamma=0.85, seed=TRAIN_SEED, epochs=4, learning_rate=3e-3)
     start = time.monotonic()
     log = fit(transitions, scorer, CATALOG, None, cfg)
     elapsed = time.monotonic() - start

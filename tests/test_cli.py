@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import supportq
 from supportq.cli import ConfigError, RunConfig, load_run_config, main
 from supportq.env import StagedEnv, StagedEnvConfig
 from supportq.ingest import save_episodes
+from supportq.training import TrainerConfig
 
 
 def sha(path):
@@ -38,7 +40,12 @@ class TestConfig:
         assert cfg.target_sync_every == 10
         assert cfg.epochs == 4
         assert cfg.window == 2048
-        assert cfg.buffer_capacity == 12_000
+
+    def test_every_trainer_field_is_a_run_field_with_the_same_default(self):
+        run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(TrainerConfig):
+            assert f.name in run_fields, f.name
+            assert run_fields[f.name].default == f.default, f.name
 
     def test_unknown_file_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -61,6 +68,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_run_config(environ={"SUPPORTQ_TYPO": "1"})
 
+    def test_unparsable_number_rejected(self):
+        for key, raw in (("SUPPORTQ_SEED", "abc"), ("SUPPORTQ_GAMMA", "high")):
+            with pytest.raises(ConfigError):
+                load_run_config(environ={key: raw})
+
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             load_run_config(overrides={"mode": "dataset"})  # no dataset_path
@@ -76,6 +88,18 @@ class TestConfig:
             load_run_config(overrides={"learning_rate": -1})
         with pytest.raises(ConfigError):
             load_run_config(overrides={"vocab_max_size": 100})
+        for overrides in (
+            {"seed": -1},
+            {"grad_clip": -1.0},
+            {"grad_clip": 0.0},
+            {"demo_fidelity": 2.0},
+            {"env_horizon": 1},
+            {"mlp_hidden": "abc"},
+            {"mlp_hidden": "64,0"},
+            {"backend": "seq", "seq_heads": 3},
+        ):
+            with pytest.raises(ConfigError):
+                load_run_config(overrides=overrides)
 
     def test_bool_coercion(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -87,6 +111,11 @@ class TestConfig:
         # the flag is gone: it changed no thread count once numpy had loaded its BLAS
         with pytest.raises(ConfigError, match="unknown environment override SUPPORTQ_DETERMINISTIC"):
             load_run_config(environ={"SUPPORTQ_DETERMINISTIC": "1"})
+
+    def test_buffer_capacity_is_an_unknown_override(self):
+        # training draws from every transition; there is no replay capacity to set
+        with pytest.raises(ConfigError, match="unknown environment override SUPPORTQ_BUFFER_CAPACITY"):
+            load_run_config(environ={"SUPPORTQ_BUFFER_CAPACITY": "1"})
 
 
 class TestTrainCommand:

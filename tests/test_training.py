@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from supportq.core import DialogueState, Emotion, Transition
-from supportq.env import StagedEnv, StagedEnvConfig, value_iteration
+from supportq.env import StagedEnv, StagedEnvConfig, collect_transitions, value_iteration
 from supportq.qnet import MlpConfig, MlpScorer
 from supportq.rewards import imitation_rewards
 from supportq.training import (
     Adam,
     InsufficientData,
     MissingNextState,
-    ReplayBuffer,
     TrainerConfig,
     clip_global_norm,
     compute_targets,
@@ -36,6 +35,29 @@ class FixedScorer:
 
     def q_all(self, state, catalog, vocab):
         return self.values
+
+
+class RecordingScorer:
+    """Stub that records every target it is trained on; its parameter never moves."""
+
+    default_learning_rate = 1e-3
+
+    def __init__(self):
+        self.params = {"w": np.zeros(1)}
+        self.seen: list[float] = []
+
+    def clone(self):
+        return RecordingScorer()
+
+    def state_dict(self):
+        return self.params
+
+    def load_state_dict(self, params):
+        pass
+
+    def loss_and_grads(self, items, catalog, vocab=None):
+        self.seen.extend(t for _, _, t in items)
+        return 0.0, {"w": np.zeros(1)}
 
 
 def make_transition(state, action=1, reward=1.0, next_state=None, terminal=True):
@@ -61,34 +83,6 @@ class TestTdTarget:
     def test_missing_next_state(self, catalog):
         with pytest.raises(MissingNextState):
             td_target(1.0, None, False, FixedScorer([0.0]), catalog, None, 0.85)
-
-
-class TestReplayBuffer:
-    def test_fifo_eviction_drops_oldest(self, bare_state):
-        buffer = ReplayBuffer(capacity=5, seed=0)
-        items = [make_transition(bare_state, action=(i % 8) + 1, reward=float(i)) for i in range(8)]
-        buffer.extend(items)
-        assert len(buffer) == 5
-        stored = [t.reward for t in buffer]
-        assert stored == [3.0, 4.0, 5.0, 6.0, 7.0]  # first 3 evicted, order oldest->newest
-
-    def test_never_exceeds_capacity(self, bare_state):
-        buffer = ReplayBuffer(capacity=3, seed=0)
-        for i in range(100):
-            buffer.add(make_transition(bare_state, reward=float(i)))
-            assert len(buffer) <= 3
-
-    def test_sampling_reproducible_given_seed(self, bare_state):
-        items = [make_transition(bare_state, reward=float(i)) for i in range(20)]
-        a = ReplayBuffer(capacity=50, seed=4)
-        b = ReplayBuffer(capacity=50, seed=4)
-        a.extend(items)
-        b.extend(items)
-        assert [t.reward for t in a.sample(10)] == [t.reward for t in b.sample(10)]
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(InsufficientData):
-            ReplayBuffer(capacity=5, seed=0).sample(1)
 
 
 class TestSyncTarget:
@@ -207,8 +201,8 @@ class TestFit:
         def run():
             env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
             scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-            cfg = TrainerConfig(gamma=0.85, seed=0, rollout_episodes=30, epochs=1)
-            return fit(env, scorer, catalog, None, cfg).losses
+            cfg = TrainerConfig(gamma=0.85, seed=0, epochs=1)
+            return fit(collect_transitions(env, 30, seed=0), scorer, catalog, None, cfg).losses
 
         a, b = run(), run()
         assert np.array_equal(a, b)
@@ -218,6 +212,15 @@ class TestFit:
         cfg = TrainerConfig(batch_size=64, seed=0)
         with pytest.raises(InsufficientData):
             fit([make_transition(bare_state)] * 5, scorer, catalog, None, cfg)
+
+    def test_in_order_sweep_reaches_every_transition_of_a_large_set(self, catalog, bare_state):
+        # more than 12,000 transitions: none may be dropped before training
+        n = 12_001
+        transitions = [make_transition(bare_state, reward=float(i)) for i in range(n)]
+        scorer = RecordingScorer()
+        cfg = TrainerConfig(batch_size=n, epochs=1, sample_in_order=True)
+        fit(transitions, scorer, catalog, None, cfg)
+        assert scorer.seen == [float(i) for i in range(n)]
 
     def test_unset_rewards_rejected(self, catalog, bare_state):
         scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
@@ -269,18 +272,16 @@ class TestFit:
     def test_sync_events_logged_at_configured_cadence(self, catalog):
         env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
         scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-        cfg = TrainerConfig(gamma=0.85, seed=0, rollout_episodes=40, epochs=1, target_sync_every=3)
-        log = fit(env, scorer, catalog, None, cfg)
+        cfg = TrainerConfig(gamma=0.85, seed=0, epochs=1, target_sync_every=3)
+        log = fit(collect_transitions(env, 40, seed=0), scorer, catalog, None, cfg)
         synced_steps = [r.step for r in log.records if r.synced]
         assert synced_steps == [s for s in range(len(log)) if (s + 1) % 3 == 0]
 
     def test_in_order_sweep_mode(self, catalog):
         env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
         scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-        cfg = TrainerConfig(
-            gamma=0.85, seed=0, rollout_episodes=40, epochs=2, sample_in_order=True
-        )
-        log = fit(env, scorer, catalog, None, cfg)
+        cfg = TrainerConfig(gamma=0.85, seed=0, epochs=2, sample_in_order=True)
+        log = fit(collect_transitions(env, 40, seed=0), scorer, catalog, None, cfg)
         assert len(log) == 2 * (40 * 8 // 64)
 
     def test_toy_horizon_two_env_reaches_oracle_policy(self, catalog):
@@ -289,11 +290,7 @@ class TestFit:
         mdp = env.to_tabular()
         oracle = value_iteration(mdp, gamma=0.85)
         scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-        cfg = TrainerConfig(
-            gamma=0.85, seed=0, rollout_episodes=400, epochs=25, learning_rate=3e-3
-        )
-        from supportq.env import collect_transitions
-
+        cfg = TrainerConfig(gamma=0.85, seed=0, epochs=25, learning_rate=3e-3)
         env2 = StagedEnv(config, catalog=catalog)
         transitions, latents = collect_transitions(env2, 400, seed=0, with_latents=True)
         fit(transitions, scorer, catalog, None, cfg)
@@ -306,29 +303,11 @@ class TestFit:
         )
         assert agree == len(visited)
 
-    def test_periodic_checkpoints_written(self, catalog, tmp_path):
-        from supportq.qnet import load_scorer
-
-        env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
-        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-        cfg = TrainerConfig(
-            gamma=0.85, seed=0, rollout_episodes=40, epochs=1, checkpoint_every=2
-        )
-        log = fit(env, scorer, catalog, None, cfg, checkpoint_dir=tmp_path)
-        written = sorted(tmp_path.glob("step_*.npz"))
-        assert len(written) == len(log) // 2
-        snapshot, _ = load_scorer(written[-1])
-        probe = env.reset(seed=0)
-        if len(log) % 2 == 0:  # the last snapshot is the final state
-            np.testing.assert_array_equal(
-                snapshot.q_all(probe, catalog), scorer.q_all(probe, catalog)
-            )
-
     def test_log_csv_round_trip(self, catalog, tmp_path):
         env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
         scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
-        cfg = TrainerConfig(gamma=0.85, seed=0, rollout_episodes=30, epochs=1)
-        log = fit(env, scorer, catalog, None, cfg)
+        cfg = TrainerConfig(gamma=0.85, seed=0, epochs=1)
+        log = fit(collect_transitions(env, 30, seed=0), scorer, catalog, None, cfg)
         path = tmp_path / "loss.csv"
         log.to_csv(path)
         lines = path.read_text().strip().splitlines()

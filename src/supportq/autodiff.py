@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports exactly the operations the scorers need: elementwise arithmetic,
-matmul (batched), reductions, exp/log/tanh, indexed gathers for embedding
-lookups and token selection, and composite softmax / log-softmax /
+Supports the operations the mlp scorer and the tape transformer the seq
+scorer's hand-written backward is tested against need: elementwise
+arithmetic, matmul (batched), reductions, exp/log/tanh, indexed gathers for
+embedding lookups and token selection, and composite softmax / log-softmax /
 layer-norm / GELU built from those primitives.
 
 Graphs are built eagerly; `backward` walks the tape once in reverse

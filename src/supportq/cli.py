@@ -118,6 +118,8 @@ class RunConfig:
             raise ConfigError(f"vocab_max_size must be at least {MIN_VOCAB_SIZE}")
         if not 0.0 <= self.demo_fidelity <= 1.0:
             raise ConfigError("demo_fidelity must be in [0, 1]")
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ConfigError("split_ratio must be in (0, 1)")
         try:
             self.trainer_config()
             _env_config(self)

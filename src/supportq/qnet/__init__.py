@@ -10,8 +10,9 @@ Two interchangeable backends implement the same operations (`q_value`,
 * `MlpScorer` -- a feed-forward net over the state's (K, F) feature block,
   one row per action; faster, and exactly comparable against the oracle.
 
-Each backend writes `_q` once, against an array namespace: Q values run it
-on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
+`SeqScorer` is written once in numpy, with a hand-written backward per
+block.  `MlpScorer` writes `_q` once against an array namespace: Q values run
+it on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
 """
 
 from .base import BackendMismatch

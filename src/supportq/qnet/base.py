@@ -1,10 +1,12 @@
 """Shared skeleton of the scorer backends.
 
 `Scorer` holds what both backends do the same way: seeded parameters checked
-against `param_specs(config)`, copies and state dicts, `grad_q`, gathering
-gradients off the tape, the finiteness check on Q(s, ·) and greedy selection.
-A backend supplies `param_specs` and `_q`, Q(s, ·) from one pass; `q_value`,
-`q_all` and `loss_and_grads` stay per class, where perfbench's tracer wraps them.
+against `param_specs(config)`, copies and state dicts, the finiteness check on
+Q(s, ·) and greedy selection.  A backend supplies `param_specs` and `_q`,
+Q(s, ·) from one pass; `q_value`, `q_all` and `loss_and_grads` stay per class,
+where perfbench's tracer wraps them.  The autodiff-tape `grad_q` and the
+gathering of gradients off the tape serve mlp only: seq differentiates its
+transformer by hand and overrides `grad_q`.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class Scorer:
         return {n: ad.Var(a) for n, a in self.params.items()}
 
     def grad_q(self, state, action: int, catalog, vocab=None) -> dict[str, np.ndarray]:
-        """Analytic gradient of q_value with respect to every parameter."""
+        """Analytic gradient of q_value with respect to every parameter, off
+        the tape of `_q(state, catalog, vocab, params, autodiff)`."""
         catalog.by_id(action)
         pv = self._param_vars()
         return self._grads(ad.take_rows(self._q(state, catalog, vocab, pv, ad), action - 1), pv)

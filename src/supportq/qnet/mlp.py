@@ -97,7 +97,8 @@ class MlpScorer(Scorer):
         return specs
 
     def _net(self, feats: np.ndarray, params: dict, ops):
-        """(B,) Q values for a (B, F) feature batch; `ops` as in `SeqScorer._hidden`."""
+        """(B,) Q values for a (B, F) feature batch; `ops` is `autodiff` with
+        `Var` params (on the tape) or `autodiff.numpy_ops` with arrays (no tape)."""
         x = feats
         for i in range(len(self.config.hidden) + 1):
             x = x @ params[f"layers.{i}.w"] + params[f"layers.{i}.b"]

@@ -150,6 +150,25 @@ def sync_target(scorer, target) -> None:
     target.load_state_dict(scorer.state_dict())
 
 
+class _OncePerState:
+    """A target scorer whose `q_all` runs once per next-state object.
+
+    Keys are object identities: imitation's +1/-1 siblings share one
+    `next_state` object, and hashing a `DialogueState` by value costs more
+    than the grouping saves on the mlp scorer.
+    """
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.seen: dict[int, np.ndarray] = {}
+
+    def q_all(self, state, catalog: StrategyCatalog, vocab: Optional[Vocabulary]) -> np.ndarray:
+        key = id(state)
+        if key not in self.seen:
+            self.seen[key] = self.scorer.q_all(state, catalog, vocab)
+        return self.seen[key]
+
+
 def compute_targets(
     batch: list[Transition],
     target_scorer,
@@ -157,11 +176,14 @@ def compute_targets(
     vocab: Optional[Vocabulary],
     gamma: float,
 ) -> np.ndarray:
+    """TD targets of a batch, with one `q_all` per distinct non-terminal
+    next-state object."""
+    once = _OncePerState(target_scorer)
     out = np.empty(len(batch))
     for i, tr in enumerate(batch):
         if tr.reward is None:
             raise ValueError("transition reward unset; assign rewards before training")
-        out[i] = td_target(tr.reward, tr.next_state, tr.terminal, target_scorer, catalog, vocab, gamma)
+        out[i] = td_target(tr.reward, tr.next_state, tr.terminal, once, catalog, vocab, gamma)
     return out
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles the library metrics are checked against.
 
 Everything here is written from the metric definitions with plain loops and
-dictionaries, deliberately sharing no code with supportq.metrics.  The one
-scorer oracle, `oracle_seq_q_all`, is the reference slow path of the `seq`
-Q kernel: a full tape forward pass per action.
+dictionaries, deliberately sharing no code with supportq.metrics.  Two
+oracles check the `seq` scorer: `oracle_seq_q_all`, the slow path of its Q
+kernel (a full forward pass per action), and `tape_seq_q`, the transformer
+on the autodiff tape, whose gradients check the hand-written backward.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import itertools
 import math
 from collections import Counter
 
-from supportq.encoding import encode_pair
+import numpy as np
+
+import supportq.autodiff as ad
+from supportq.encoding import encode_answer, encode_pair
 
 
 def words(text):
@@ -231,8 +235,8 @@ def oracle_finite_horizon_q(succ_idx, succ_p, rewards, gamma, horizon):
 
 def oracle_seq_q_all(scorer, state, catalog, vocab):
     """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer,
-    run one full forward pass on the autodiff tape over the whole sequence
-    (`forward`), and average the log-probabilities of the answer tokens."""
+    run one full forward pass over the whole sequence (`forward`), and average
+    the log-probabilities of the answer tokens."""
     values = []
     for action in catalog.ids:
         pair = encode_pair(state, action, catalog, vocab, scorer.window)
@@ -240,3 +244,44 @@ def oracle_seq_q_all(scorer, state, catalog, vocab):
         start, end = pair.action_span
         values.append(sum(float(rows[i, pair.tokens[i]]) for i in range(start, end)) / (end - start))
     return values
+
+
+def causal_mask(t, dtype):
+    """Additive T x T mask: row i may attend to columns 0 .. i."""
+    pos = np.arange(t)
+    return np.where(pos[:, None] < pos, dtype(-1e30), dtype(0.0))
+
+
+def tape_seq_q(scorer, state, catalog, vocab, pv):
+    """Q(s, .) of a SeqScorer as a `Var` on the autodiff tape over the
+    parameter `Var`s `pv`: one pass over BOS + prompt + " " with the additive
+    causal mask, the last block, ln_f, head and log-softmax on the two rows
+    that predict the answer.  `ad.backward` on it gives the reference
+    gradients."""
+    cfg = scorer.config
+    pair = encode_pair(state, catalog.ids[0], catalog, vocab, scorer.window)
+    tokens = pair.tokens[:-1]
+    t, n_heads, dh = len(tokens), cfg.n_heads, cfg.d_model // cfg.n_heads
+    split = lambda m: ad.swapaxes(ad.reshape(m, (m.shape[0], n_heads, dh)), 0, 1)
+    x = ad.take_rows(pv["tok_emb"], tokens) + ad.take_rows(pv["pos_emb"], np.arange(t))
+    mask = causal_mask(t, cfg.np_dtype)
+    for i in range(cfg.n_layers):
+        p = lambda n: pv[f"blocks.{i}.{n}"]
+        h = ad.layer_norm(x, p("ln1.g"), p("ln1.b"))
+        k = split(h @ p("attn.wk") + p("attn.bk"))
+        v = split(h @ p("attn.wv") + p("attn.bv"))
+        if i == cfg.n_layers - 1:
+            last = np.arange(t - 2, t)
+            x, h, mask = ad.take_rows(x, last), ad.take_rows(h, last), mask[last]
+        q = split(h @ p("attn.wq") + p("attn.bq"))
+        scores = q @ ad.swapaxes(k, 1, 2) * (1.0 / math.sqrt(dh)) + mask
+        ctx = ad.swapaxes(ad.softmax(scores, axis=-1) @ v, 0, 1)
+        x = x + (ad.reshape(ctx, (x.shape[0], cfg.d_model)) @ p("attn.wo") + p("attn.bo"))
+        h2 = ad.layer_norm(x, p("ln2.g"), p("ln2.b"))
+        x = x + (ad.gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
+    x = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"])
+    logp = ad.log_softmax(x @ pv["head.w"] + pv["head.b"], axis=-1)
+    k = len(catalog)
+    words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
+    space = ad.take_pairs(logp, np.zeros(k, dtype=int), np.full(k, pair.tokens[pair.action_span[0]]))
+    return (space + ad.take_pairs(logp, np.ones(k, dtype=int), words)) * 0.5

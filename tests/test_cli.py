@@ -97,6 +97,9 @@ class TestConfig:
             {"mlp_hidden": "abc"},
             {"mlp_hidden": "64,0"},
             {"backend": "seq", "seq_heads": 3},
+            {"split_ratio": 2.0},
+            {"split_ratio": 0.0},
+            {"split_ratio": 1.0},
         ):
             with pytest.raises(ConfigError):
                 load_run_config(overrides=overrides)

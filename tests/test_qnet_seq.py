@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,10 +11,9 @@ import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Speaker, Turn
 from supportq.encoding import encode_pair
 from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
-from supportq.qnet.seq import causal_mask
 
 from .conftest import fd_gradient, rel_error
-from .oracles import oracle_seq_q_all
+from .oracles import causal_mask, oracle_seq_q_all, tape_seq_q
 
 
 def zeroed(scorer: SeqScorer) -> SeqScorer:
@@ -363,6 +363,109 @@ class TestOnePassPerState:
             scorer.grad_q(tiny_state, action, catalog, small_vocab)
         with pytest.raises(KeyError):
             scorer.loss_and_grads([(tiny_state, action, 0.5)], catalog, small_vocab)
+
+
+def long_state(query: str) -> DialogueState:
+    history = tuple(
+        Turn(Speaker.SEEKER if i % 2 == 0 else Speaker.SUPPORTER, f"turn {i}: I feel stuck.")
+        for i in range(40)
+    )
+    return DialogueState(description="job stress", emotion=Emotion("anxiety"), history=history, query=query)
+
+
+def tape_grads(out, pv):
+    """Gradient of the scalar `Var` `out` with respect to every parameter `Var` in `pv`."""
+    ad.backward(out)
+    return {n: v.grad if v.grad is not None else np.zeros_like(v.data) for n, v in pv.items()}
+
+
+def tape_loss_grads(scorer, items, catalog, vocab):
+    """Mean squared TD error of `items` and its gradient, on the autodiff tape."""
+    pv = {n: ad.Var(a) for n, a in scorer.params.items()}
+    qs = {}
+    total = None
+    for state, action, target in items:
+        if state not in qs:
+            qs[state] = tape_seq_q(scorer, state, catalog, vocab, pv)
+        se = (ad.take_rows(qs[state], action - 1) - target) ** 2.0
+        total = se if total is None else total + se
+    loss = total * (1.0 / len(items))
+    return float(loss.data), tape_grads(loss, pv)
+
+
+def max_relative_error(grads, reference):
+    """Largest |difference| over all parameters, relative to the largest
+    |reference gradient|: a gradient that is zero in exact arithmetic (attn.bk,
+    because q . b_k shifts a row of scores equally) is compared as a zero."""
+    assert set(grads) == set(reference)
+    scale = max(float(np.abs(g).max()) for g in reference.values())
+    return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale
+
+
+class TestHandWrittenBackward:
+    """The hand-written backward against the transformer on the autodiff tape."""
+
+    CASES = [("bare_state", False), ("tiny_state", False), ("tiny_state", True)]
+
+    def scorer_for(self, seq_scorer, state, drop_history, catalog, vocab):
+        if not drop_history:
+            return seq_scorer
+        full = encode_pair(state, 1, catalog, vocab)
+        scorer = SeqScorer(seq_scorer.config, params=seq_scorer.params, window=len(full.tokens) - 1)
+        assert encode_pair(state, 1, catalog, vocab, scorer.window).action_span[0] < full.action_span[0]
+        return scorer
+
+    @pytest.mark.parametrize("state_name,drop_history", CASES)
+    def test_grad_q_matches_the_tape(
+        self, request, state_name, drop_history, seq_scorer, catalog, small_vocab
+    ):
+        state = request.getfixturevalue(state_name)
+        scorer = self.scorer_for(seq_scorer, state, drop_history, catalog, small_vocab)
+        for action in (1, 6):
+            pv = {n: ad.Var(a) for n, a in scorer.params.items()}
+            tape = tape_grads(ad.take_rows(tape_seq_q(scorer, state, catalog, small_vocab, pv), action - 1), pv)
+            assert max_relative_error(scorer.grad_q(state, action, catalog, small_vocab), tape) < 1e-12
+
+    @pytest.mark.parametrize("state_name,drop_history", CASES)
+    def test_loss_and_grads_match_the_tape(
+        self, request, state_name, drop_history, seq_scorer, bare_state, catalog, small_vocab
+    ):
+        state = request.getfixturevalue(state_name)
+        scorer = self.scorer_for(seq_scorer, state, drop_history, catalog, small_vocab)
+        other = dataclasses.replace(bare_state, query="What now?")
+        items = [(state, 2, 0.5), (other, 3, 0.1), (state, 6, -0.5), (state, 2, -1.25)]
+        loss, grads = scorer.loss_and_grads(items, catalog, small_vocab)
+        tape_loss, tape = tape_loss_grads(scorer, items, catalog, small_vocab)
+        assert loss == pytest.approx(tape_loss, rel=1e-12)
+        assert max_relative_error(grads, tape) < 1e-12
+
+    def test_peak_memory_does_not_grow_with_the_batch(self, catalog, small_vocab):
+        states = [long_state(f"What should I do now, part {i}?") for i in range(4)]
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=64, n_heads=2, n_layers=2, n_ctx=1024)
+        scorer = SeqScorer(cfg, seed=0, window=1024)
+        assert min(len(encode_pair(s, 1, catalog, small_vocab, scorer.window).tokens) for s in states) >= 600
+
+        def peak(items):
+            tracemalloc.start()
+            try:
+                scorer.loss_and_grads(items, catalog, small_vocab)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two = peak([(states[0], 1, 0.1), (states[1], 2, -0.2)])
+        sixteen = peak([(states[i % 4], i % 8 + 1, 0.1 * i - 0.8) for i in range(16)])
+        assert sixteen < 64 * 2**20
+        assert sixteen < 1.3 * two
+
+
+def test_seq_training_builds_no_tape(seq_scorer, tiny_state, catalog, small_vocab, monkeypatch):
+    def no_tape(*args, **kwargs):
+        raise AssertionError("a Var was created")
+
+    monkeypatch.setattr(ad.Var, "__init__", no_tape)
+    seq_scorer.grad_q(tiny_state, 3, catalog, small_vocab)
+    seq_scorer.loss_and_grads([(tiny_state, 3, 0.5), (tiny_state, 1, -0.5)], catalog, small_vocab)
 
 
 @pytest.mark.parametrize("fixture", ["seq_scorer", "mlp_scorer"])

@@ -188,6 +188,24 @@ class TestTrainStep:
         tb = compute_targets(batch, phi_b, catalog, None, 0.85)[0]
         assert ta != tb
 
+    def test_sibling_targets_share_one_q_all(self, catalog, bare_state, tiny_state):
+        class CountingScorer(FixedScorer):
+            calls = 0
+
+            def q_all(self, state, catalog, vocab):
+                self.calls += 1
+                return self.values
+
+        nexts = [dataclasses.replace(bare_state, query=f"next {i}?") for i in range(2)]
+        base = [Transition(state=tiny_state, action=1, next_state=n, terminal=False) for n in nexts]
+        batch = imitation_rewards(base, catalog, seed=0)
+        assert [tr.reward for tr in batch] == [1.0, -1.0, 1.0, -1.0]
+        assert batch[0].next_state is batch[1].next_state
+        scorer = CountingScorer([0.5, 2.0])
+        targets = compute_targets(batch, scorer, catalog, None, 0.5)
+        assert scorer.calls == 2
+        np.testing.assert_array_equal(targets, [2.0, 0.0, 2.0, 0.0])
+
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0, 4.0]), "b": np.array([0.0])}
         norm = clip_global_norm(grads, 1.0)

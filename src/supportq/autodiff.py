@@ -1,17 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports the operations the mlp scorer and the tape transformer the seq
-scorer's hand-written backward is tested against need: elementwise
-arithmetic, matmul (batched), reductions, exp/log/tanh, indexed gathers for
-embedding lookups and token selection, and composite softmax / log-softmax /
-layer-norm / GELU built from those primitives.
+No scorer uses it: both differentiate by hand.  It carries the test
+oracles those hand-written backwards are checked against, the mlp and the
+transformer on the tape (`tests/oracles.py`), and supports what they need:
+elementwise arithmetic, matmul (batched), reductions, exp/log/tanh, indexed
+gathers for embedding lookups and token selection, and composite softmax /
+log-softmax / layer-norm / GELU built from those primitives.
 
 Graphs are built eagerly; `backward` walks the tape once in reverse
 topological order, so gradient accumulation order is fixed by construction
 and results are bit-reproducible in single-threaded use.
-
-A model is written once against an array namespace: this module, with
-`Var` parameters, builds the tape; `numpy_ops`, with plain arrays, does not.
 """
 
 from __future__ import annotations
@@ -285,43 +283,6 @@ def gelu(x: ArrayLike) -> Var:
     x = as_var(x)
     inner = mul(add(x, mul(mul(mul(x, x), x), 0.044715)), _GELU_C)
     return mul(mul(x, add(tanh(inner), 1.0)), 0.5)
-
-
-class numpy_ops:
-    """Tape-free twins of the ops above, on plain arrays.  Each performs its
-    twin's operations in the same order, so on float64 input it equals the
-    twin's `.data` bit for bit."""
-
-    take_rows = staticmethod(lambda table, ids: table[ids])
-    take_pairs = staticmethod(lambda a, rows, cols: a[rows, cols])
-    reshape = staticmethod(np.reshape)
-    swapaxes = staticmethod(np.swapaxes)
-    tanh = staticmethod(np.tanh)
-
-    @staticmethod
-    def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Computed in place: overwrites and returns `x`."""
-        x -= np.max(x, axis=axis, keepdims=True)
-        np.exp(x, out=x)
-        x /= x.sum(axis=axis, keepdims=True)
-        return x
-
-    @staticmethod
-    def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-        shifted = x - np.max(x, axis=axis, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    @staticmethod
-    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-        inv_n = 1.0 / x.shape[-1]
-        centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-        return centered * (var + eps) ** -0.5 * gain + bias
-
-    @staticmethod
-    def gelu(x: np.ndarray) -> np.ndarray:
-        inner = (x + x * x * x * 0.044715) * _GELU_C
-        return x * (np.tanh(inner) + 1.0) * 0.5
 
 
 def backward(root: Var, seed: Optional[np.ndarray] = None) -> None:

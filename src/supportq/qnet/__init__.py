@@ -7,12 +7,14 @@ Two interchangeable backends implement the same operations (`q_value`,
 * `SeqScorer` -- a small causal transformer; Q(s, a) is the mean
   log-probability of the appended answer tokens " (k)", a space and one
   answer word, all scored from one pass over the shared prompt.
-* `MlpScorer` -- a feed-forward net over the state's (K, F) feature block,
-  one row per action; faster, and exactly comparable against the oracle.
+* `MlpScorer` -- a feed-forward net over the state's feature row, whose
+  first layer adds one weight row per action; faster, and exactly
+  comparable against the oracle.
 
-`SeqScorer` is written once in numpy, with a hand-written backward per
-block.  `MlpScorer` writes `_q` once against an array namespace: Q values run
-it on `autodiff.numpy_ops` without a tape, gradients on `autodiff`.
+Both are written in numpy with a hand-written backward.  Each also has an
+encoded path, which training runs: `encode` turns a state into a code once
+(seq: token ids, mlp: the feature row), and `q_encoded` and
+`loss_and_grads_encoded` work on rows of a table of distinct codes.
 """
 
 from .base import BackendMismatch

@@ -2,11 +2,14 @@
 
 `Scorer` holds what both backends do the same way: seeded parameters checked
 against `param_specs(config)`, copies and state dicts, the finiteness check on
-Q(s, ·) and greedy selection.  A backend supplies `param_specs` and `_q`,
-Q(s, ·) from one pass; `q_value`, `q_all` and `loss_and_grads` stay per class,
-where perfbench's tracer wraps them.  The autodiff-tape `grad_q` and the
-gathering of gradients off the tape serve mlp only: seq differentiates its
-transformer by hand and overrides `grad_q`.
+Q(s, ·) and greedy selection.  A backend supplies `param_specs`, `encode`,
+the code of a state (mlp: its feature row, seq: its prompt's token ids), and
+the encoded path: `q_encoded`, Q(s, ·) for rows of a table of codes, and
+`loss_and_grads_encoded`, the squared TD error of (row, action, target)
+items with its gradient, differentiated by hand.  `encode_states` builds that
+table.  `q_value`, `q_all`, `grad_q` and `loss_and_grads` take states; they
+stay per class, where perfbench's tracer wraps them, and run `encode`, then
+the forward and backward that the encoded path runs.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import asdict
 from typing import Optional, Union
 
 import numpy as np
-
-from .. import autodiff as ad
 
 # (name, shape, init): init is "zero", "one", or the scale of a uniform(-scale, scale) weight
 ParamSpec = tuple[str, tuple[int, ...], Union[str, float]]
@@ -46,6 +47,27 @@ def argmax_smallest_id(values: np.ndarray) -> int:
     return int(np.argmax(values)) + 1
 
 
+def encode_states(scorer, states, catalog, vocab) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct codes of `states` and each state's row among them.
+
+    Each state object is encoded once; states whose codes are equal, byte for
+    byte, share one row.
+    """
+    table: list[np.ndarray] = []
+    by_value: dict[bytes, int] = {}
+    by_object: dict[int, int] = {}
+    rows = np.empty(len(states), dtype=np.intp)
+    for n, state in enumerate(states):  # `states` keeps every object alive, so ids stay unique
+        row = by_object.get(id(state))
+        if row is None:
+            code = scorer.encode(state, catalog, vocab)
+            row = by_object[id(state)] = by_value.setdefault(code.tobytes(), len(table))
+            if row == len(table):
+                table.append(code)
+        rows[n] = row
+    return table, rows
+
+
 class Scorer:
     backend: str
     default_learning_rate: float  # Adam step size when the trainer sets none
@@ -69,6 +91,10 @@ class Scorer:
     def param_specs(config) -> list[ParamSpec]:
         raise NotImplementedError
 
+    def encode(self, state, catalog, vocab=None) -> np.ndarray:
+        """The code of `state`: everything Q(state, ·) reads from it."""
+        raise NotImplementedError
+
     def clone(self):
         twin = copy.copy(self)
         twin.params = {n: a.copy() for n, a in self.params.items()}
@@ -84,23 +110,14 @@ class Scorer:
     def config_dict(self) -> dict:
         return asdict(self.config)
 
-    def _param_vars(self) -> dict[str, ad.Var]:
-        return {n: ad.Var(a) for n, a in self.params.items()}
-
-    def grad_q(self, state, action: int, catalog, vocab=None) -> dict[str, np.ndarray]:
-        """Analytic gradient of q_value with respect to every parameter, off
-        the tape of `_q(state, catalog, vocab, params, autodiff)`."""
-        catalog.by_id(action)
-        pv = self._param_vars()
-        return self._grads(ad.take_rows(self._q(state, catalog, vocab, pv, ad), action - 1), pv)
-
-    @staticmethod
-    def _grads(out: ad.Var, pv: dict[str, ad.Var]) -> dict[str, np.ndarray]:
-        """Gradient of the scalar `out` with respect to every parameter in `pv`."""
-        ad.backward(out)
-        return {
-            n: (v.grad if v.grad is not None else np.zeros_like(v.data)) for n, v in pv.items()
-        }
+    def _encode_items(self, items, catalog, vocab):
+        """(state, action, target) items as (table, rows, actions, targets)."""
+        if not items:
+            raise ValueError("empty batch")
+        table, rows = encode_states(self, [s for s, _, _ in items], catalog, vocab)
+        actions = np.array([catalog.by_id(a).id for _, a, _ in items])
+        targets = np.array([t for _, _, t in items], dtype=np.float64)
+        return table, rows, actions, targets
 
     @staticmethod
     def _finite(values: np.ndarray) -> np.ndarray:

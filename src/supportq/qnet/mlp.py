@@ -1,11 +1,15 @@
 """Feature-MLP Q-scorer.
 
-A deterministic feature map turns a state into a (K, F) block, one row per
-action: one-hot emotion, the row's action one-hot, the stage of the last
+A deterministic feature map turns a state into one row of F features:
+one-hot emotion, an action one-hot block left at zero, the stage of the last
 supporter strategy, a bucketed history length, and a hashed bag of query
-words.  A small tanh network maps each row to a scalar, so one pass over the
-block gives Q(s, ·).  On the staged simulator these features encode the hidden
-environment state losslessly, making Q exactly comparable to the DP oracle.
+words.  A small tanh network maps the row with action a's one-hot set to
+Q(s, a).  The first layer never builds that one-hot: it adds row a of its
+weight to the state term x_s @ W0, so Q(s, ·) for a batch of states is one
+(B, F) matmul broadcast over the K action rows.  The network is
+differentiated by hand, layer by layer.  On the staged simulator these
+features encode the hidden environment state losslessly, making Q exactly
+comparable to the DP oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..core import DEFAULT_EMOTIONS, DialogueState, Stage, StrategyCatalog
 from .base import ParamSpec, Scorer
 
@@ -46,7 +50,7 @@ def feature_dim(fc: FeatureConfig, n_actions: int) -> int:
 
 
 def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: FeatureConfig) -> np.ndarray:
-    """(K, F) block; row a - 1 is the deterministic feature vector of (state, a)."""
+    """(F,) deterministic feature row of `state`, its action one-hot block at zero."""
     k = len(catalog)
     row = np.zeros(feature_dim(fc, k), dtype=np.float64)
     offset = 0
@@ -56,8 +60,7 @@ def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: Feature
         row[offset + fc.emotions.index(label)] = 1.0
     offset += len(fc.emotions)
 
-    actions = offset  # the one-hot block, set per row below
-    offset += k
+    offset += k  # the action one-hot block
 
     last = state.last_supporter_strategy()
     last_stage = None if last is None else catalog.stage_of(last)
@@ -69,7 +72,7 @@ def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: Feature
 
     for word in state.query.lower().split():
         row[offset + _fnv1a(word) % fc.hash_dim] += 1.0
-    return row + np.eye(k, len(row), actions)
+    return row
 
 
 @dataclass(frozen=True)
@@ -96,26 +99,74 @@ class MlpScorer(Scorer):
             specs.append((f"layers.{i}.b", (d_out,), "zero"))
         return specs
 
-    def _net(self, feats: np.ndarray, params: dict, ops):
-        """(B,) Q values for a (B, F) feature batch; `ops` is `autodiff` with
-        `Var` params (on the tape) or `autodiff.numpy_ops` with arrays (no tape)."""
-        x = feats
-        for i in range(len(self.config.hidden) + 1):
-            x = x @ params[f"layers.{i}.w"] + params[f"layers.{i}.b"]
-            if i < len(self.config.hidden):
-                x = ops.tanh(x)
-        return ops.reshape(x, (feats.shape[0],))
+    def encode(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
+        return extract_features(state, catalog, self.config.features)
 
-    def _q(self, state: DialogueState, catalog: StrategyCatalog, vocab, params: dict, ops):
-        """Q(s, ·) from one pass over the state's feature block."""
-        return self._net(extract_features(state, catalog, self.config.features), params, ops)
+    def _forward(self, feats: np.ndarray, actions: Optional[np.ndarray] = None):
+        """Q for state rows `feats` (B, F) and every action, or one action
+        per row when `actions` (B,) holds strategy ids.  The first layer adds
+        the action's weight row to the state term instead of multiplying by
+        the one-hot.  Returns each hidden layer's tanh output, flattened to
+        (B * A, width), and Q as (B, A)."""
+        p = self.params
+        w = p["layers.0.w"]
+        start = len(self.config.features.emotions)  # the action one-hot block's first row
+        action_rows = w[start : start + self.config.n_actions]
+        x = (feats @ w)[:, None, :] + (action_rows if actions is None else action_rows[actions - 1][:, None, :])
+        x += p["layers.0.b"]
+        shape = x.shape[:2]
+        x = x.reshape(-1, x.shape[-1])
+        acts = []
+        for i in range(1, len(self.config.hidden) + 1):
+            acts.append(np.tanh(x, out=x))
+            x = x @ p[f"layers.{i}.w"]
+            x += p[f"layers.{i}.b"]
+        return acts, x.reshape(shape)
+
+    def _backward(self, feats: np.ndarray, actions: np.ndarray, acts: list, dq: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradient of sum(dq * Q) with respect to every parameter, from the
+        activations of `_forward(feats, actions)`, dq (B, 1): one matmul pair
+        per layer with tanh' = 1 - tanh², then the first layer's state term,
+        feats.T @ dx, and its action rows, added back with `np.add.at`."""
+        p, grads, dx = self.params, {}, dq
+        for i in range(len(acts), 0, -1):
+            a = acts[i - 1]
+            grads[f"layers.{i}.w"] = a.T @ dx
+            grads[f"layers.{i}.b"] = dx.sum(axis=0)
+            dx = (dx @ p[f"layers.{i}.w"].T) * (1.0 - a * a)
+        grads["layers.0.w"] = feats.T @ dx
+        np.add.at(grads["layers.0.w"], len(self.config.features.emotions) + actions - 1, dx)
+        grads["layers.0.b"] = dx.sum(axis=0)
+        return grads
+
+    def q_encoded(self, table, rows, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
+        """(len(rows), K) Q values of the codes `table[rows]`, from one pass."""
+        return self._finite(self._forward(np.stack([table[r] for r in rows]))[1])
 
     def q_value(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> float:
         catalog.by_id(action)
-        return float(self._q(state, catalog, vocab, self.params, ad.numpy_ops)[action - 1])
+        return float(self._forward(self.encode(state, catalog, vocab)[None])[1][0, action - 1])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
-        return self._finite(self._q(state, catalog, vocab, self.params, ad.numpy_ops))
+        return self._finite(self._forward(self.encode(state, catalog, vocab)[None])[1][0])
+
+    def grad_q(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> dict[str, np.ndarray]:
+        """Analytic gradient of q_value with respect to every parameter."""
+        catalog.by_id(action)
+        feats, actions = self.encode(state, catalog, vocab)[None], np.array([action])
+        acts, q = self._forward(feats, actions)
+        return self._backward(feats, actions, acts, np.ones_like(q))
+
+    def loss_and_grads_encoded(
+        self, table, rows, actions: np.ndarray, targets: np.ndarray, catalog: StrategyCatalog, vocab=None
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean squared TD error of the items (table[row], action, target) and
+        its gradient, from one forward and one backward over the (B, F) rows."""
+        feats = np.stack([table[r] for r in rows])
+        acts, q = self._forward(feats, actions)
+        diff = q[:, 0] - targets
+        grads = self._backward(feats, actions, acts, (diff * (2.0 / len(diff)))[:, None])
+        return float((diff * diff).mean()), grads
 
     def loss_and_grads(
         self,
@@ -123,12 +174,4 @@ class MlpScorer(Scorer):
         catalog: StrategyCatalog,
         vocab=None,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        if not items:
-            raise ValueError("empty batch")
-        fc = self.config.features
-        feats = np.stack([extract_features(s, catalog, fc)[catalog.by_id(a).id - 1] for s, a, _ in items])
-        targets = np.array([t for _, _, t in items], dtype=np.float64)
-        pv = self._param_vars()
-        diff = self._net(feats, pv, ad) - targets
-        loss = ad.vmean(diff * diff)
-        return float(loss.data), self._grads(loss, pv)
+        return self.loss_and_grads_encoded(*self._encode_items(items, catalog, vocab), catalog, vocab)

@@ -14,9 +14,10 @@ block what the backward needs: the layer norms' normalised inputs and
 inverse standard deviations, h, q, k and v, the attention probabilities,
 the merged context, and the MLP pre-activation and its tanh.  `_backward`
 walks those blocks in reverse by hand, one small function per block, as
-llm.c's `gpt2_backward` does.  `grad_q` and `loss_and_grads` make one cached
-pass and one backward per distinct state, and a state's activations are
-dropped before the next state's pass, so memory does not grow with the
+llm.c's `gpt2_backward` does.  A state's code (`encode`) is BOS + its
+windowed prompt + " ".  `grad_q` and `loss_and_grads_encoded` make one
+cached pass and one backward per distinct code, and a state's activations
+are dropped before the next state's pass, so memory does not grow with the
 batch.  The gradients are checked against an autodiff-tape transformer and
 central finite differences in the test suite.
 """
@@ -196,16 +197,18 @@ class SeqScorer(Scorer):
         out[1:] = logp[:-1]
         return out
 
-    def _q(
-        self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary, cache: Optional[list] = None
-    ):
-        """Q(s, ·) from one pass over BOS + prompt + " ": the mean of the
-        log-probabilities of the space and of each answer word.  A `cache`
-        list receives what `_backward` reads, the head's entry last."""
-        pair = encode_pair(state, catalog.ids[0], catalog, vocab, self.window)
-        space = pair.tokens[pair.action_span[0]]
+    def encode(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
+        """Token ids of BOS + the windowed prompt + " ", the space of every answer."""
+        return encode_pair(state, catalog.ids[0], catalog, vocab, self.window).tokens[:-1]
+
+    def _q(self, tokens: np.ndarray, catalog: StrategyCatalog, vocab: Vocabulary, cache: Optional[list] = None):
+        """Q(s, ·) from one pass over the code `tokens` of s: the mean of the
+        log-probabilities of the space, its last token, and of each answer
+        word.  A `cache` list receives what `_backward` reads, the head's
+        entry last."""
+        space = tokens[-1]
         words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
-        logp, head = self._head(self._hidden(pair.tokens[:-1], self.params, 2, cache))
+        logp, head = self._head(self._hidden(tokens, self.params, 2, cache))
         if cache is not None:
             cache.append(dict(head, space=space, words=words))
         return (logp[0, space] + logp[1, words]) * 0.5
@@ -291,14 +294,25 @@ class SeqScorer(Scorer):
 
     # -- Q interface ----------------------------------------------------------
 
+    def q_encoded(self, table, rows, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
+        """(len(rows), K) Q values of the codes `table[rows]`, one pass per
+        distinct row."""
+        seen: dict[int, np.ndarray] = {}
+        out = np.empty((len(rows), len(catalog)))
+        for n, row in enumerate(rows):
+            if row not in seen:
+                seen[row] = self._finite(self._q(table[row], catalog, vocab).astype(np.float64))
+            out[n] = seen[row]
+        return out
+
     def q_value(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
     ) -> float:
         catalog.by_id(action)
-        return float(self._q(state, catalog, vocab)[action - 1])
+        return float(self._q(self.encode(state, catalog, vocab), catalog, vocab)[action - 1])
 
     def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        return self._finite(self._q(state, catalog, vocab).astype(np.float64))
+        return self.q_encoded([self.encode(state, catalog, vocab)], [0], catalog, vocab)[0]
 
     def grad_q(
         self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
@@ -306,9 +320,32 @@ class SeqScorer(Scorer):
         """Analytic gradient of q_value with respect to every parameter."""
         catalog.by_id(action)
         cache: list = []
-        dq = np.zeros_like(self._q(state, catalog, vocab, cache))
+        dq = np.zeros_like(self._q(self.encode(state, catalog, vocab), catalog, vocab, cache))
         dq[action - 1] = 1.0
         return self._backward(cache, dq, self._zero_grads())
+
+    def loss_and_grads_encoded(
+        self, table, rows, actions: np.ndarray, targets: np.ndarray, catalog: StrategyCatalog, vocab: Vocabulary
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean squared TD error of the items (table[row], action, target) and
+        its gradient.  Items that share a row share one forward and one
+        backward pass, with dQ = sum of 2 (Q[a - 1] - target) / B over them."""
+        by_row: dict[int, list[int]] = {}
+        for n, row in enumerate(rows):
+            by_row.setdefault(row, []).append(n)
+        grads = self._zero_grads()
+        errors: list = [None] * len(rows)
+        for row, members in by_row.items():
+            cache: list = []
+            q = self._q(table[row], catalog, vocab, cache)
+            dq = np.zeros_like(q)
+            for n in members:
+                diff = q[actions[n] - 1] - float(targets[n])
+                errors[n] = diff**2.0
+                dq[actions[n] - 1] += 2.0 * diff / len(rows)
+            self._backward(cache, dq, grads)
+        loss = sum(errors[1:], errors[0]) * (1.0 / len(rows))
+        return float(loss), grads
 
     def loss_and_grads(
         self,
@@ -316,26 +353,4 @@ class SeqScorer(Scorer):
         catalog: StrategyCatalog,
         vocab: Vocabulary,
     ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean squared TD error over (state, action, target) and its gradient.
-        Items that share a state share one forward and one backward pass, with
-        dQ = sum of 2 (Q[a - 1] - target) / B over those items."""
-        if not items:
-            raise ValueError("empty batch")
-        by_state: dict[DialogueState, list[int]] = {}
-        for n, (state, action, _) in enumerate(items):
-            catalog.by_id(action)
-            by_state.setdefault(state, []).append(n)
-        grads = self._zero_grads()
-        errors: list = [None] * len(items)
-        for state, members in by_state.items():
-            cache: list = []
-            q = self._q(state, catalog, vocab, cache)
-            dq = np.zeros_like(q)
-            for n in members:
-                _, action, target = items[n]
-                diff = q[action - 1] - float(target)
-                errors[n] = diff**2.0
-                dq[action - 1] += 2.0 * diff / len(items)
-            self._backward(cache, dq, grads)
-        loss = sum(errors[1:], errors[0]) * (1.0 / len(items))
-        return float(loss), grads
+        return self.loss_and_grads_encoded(*self._encode_items(items, catalog, vocab), catalog, vocab)

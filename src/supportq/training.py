@@ -1,11 +1,16 @@
 """DQN-style training of a Q-scorer on a fixed set of transitions.
 
 The training set is a list of reward-assigned transitions, fixed before the
-first step as in fitted Q iteration; batches are sampled uniformly with
-replacement from the whole list (or swept in order); targets come from a
-periodically synchronized copy of the scorer, so no gradient ever flows
-through the target side; the squared TD error is minimized with Adam under a
-global gradient-norm clip.
+first step as in fitted Q iteration, so it is encoded once, before the first
+step: every state and next-state object becomes a row of a table of
+distinct codes (`Scorer.encode`), and no step renders, hashes or tokenizes
+text again.  Batches are sampled uniformly with replacement from the whole
+list (or swept in order); targets come from one batched call of a
+periodically synchronized copy of the scorer over the batch's next-state
+rows, so no gradient ever flows through the target side; the squared TD
+error is minimized with Adam under a global gradient-norm clip.
+`compute_targets` and `train_step` take transitions and run the same
+encoded path on their batch.
 
 Everything is seeded and single-threaded by default, so a fixed
 configuration reproduces its loss sequence bit for bit.
@@ -21,6 +26,7 @@ import numpy as np
 
 from .core import StrategyCatalog, Transition
 from .encoding import Vocabulary
+from .qnet.base import encode_states
 
 
 class InsufficientData(ValueError):
@@ -101,10 +107,9 @@ def td_target(
     vocab: Optional[Vocabulary],
     gamma: float,
 ) -> float:
-    """r for terminal steps, else r + gamma * max_a' Q_target(s', a').
-
-    Evaluated outside any differentiation tape: the target is a constant to
-    the optimizer by construction.
+    """r for terminal steps, else r + gamma * max_a' Q_target(s', a'): one
+    transition's `compute_targets`.  The target is a constant to the
+    optimizer by construction.
     """
     if terminal:
         return float(reward)
@@ -150,23 +155,86 @@ def sync_target(scorer, target) -> None:
     target.load_state_dict(scorer.state_dict())
 
 
-class _OncePerState:
-    """A target scorer whose `q_all` runs once per next-state object.
+@dataclass
+class EncodedTransitions:
+    """Transitions as rows of a table of distinct state codes."""
 
-    Keys are object identities: imitation's +1/-1 siblings share one
-    `next_state` object, and hashing a `DialogueState` by value costs more
-    than the grouping saves on the mlp scorer.
-    """
+    table: list  # the distinct codes, one per value
+    state: np.ndarray  # (n,) row of each state
+    next: np.ndarray  # (n,) row of each next state; -1 where the target is the reward alone
+    action: np.ndarray  # (n,) strategy ids
+    reward: np.ndarray  # (n,)
 
-    def __init__(self, scorer):
-        self.scorer = scorer
-        self.seen: dict[int, np.ndarray] = {}
 
-    def q_all(self, state, catalog: StrategyCatalog, vocab: Optional[Vocabulary]) -> np.ndarray:
-        key = id(state)
-        if key not in self.seen:
-            self.seen[key] = self.scorer.q_all(state, catalog, vocab)
-        return self.seen[key]
+def encode_transitions(
+    transitions: list[Transition],
+    scorer,
+    catalog: StrategyCatalog,
+    vocab: Optional[Vocabulary],
+    gamma: float,
+    states: bool = True,
+) -> EncodedTransitions:
+    """Check and encode reward-assigned transitions; the next states only
+    where a target bootstraps (non-terminal, gamma > 0), the states only if
+    `states` is set."""
+    for tr in transitions:
+        if tr.reward is None:
+            raise ValueError("transition reward unset; assign rewards before training")
+        if not tr.terminal and tr.next_state is None:
+            raise MissingNextState("non-terminal transition lacks next_state")
+        catalog.by_id(tr.action)
+    live = [i for i, tr in enumerate(transitions) if not tr.terminal] if gamma > 0.0 else []
+    heads = [tr.state for tr in transitions] if states else []
+    table, rows = encode_states(scorer, heads + [transitions[i].next_state for i in live], catalog, vocab)
+    nxt = np.full(len(transitions), -1, dtype=np.intp)
+    nxt[live] = rows[len(heads) :]
+    return EncodedTransitions(
+        table=table,
+        state=rows[: len(heads)],
+        next=nxt,
+        action=np.array([tr.action for tr in transitions]),
+        reward=np.array([tr.reward for tr in transitions], dtype=np.float64),
+    )
+
+
+def compute_targets_encoded(
+    data: EncodedTransitions,
+    picks: np.ndarray,
+    target_scorer,
+    catalog: StrategyCatalog,
+    vocab: Optional[Vocabulary],
+    gamma: float,
+) -> np.ndarray:
+    """TD targets of the transitions `picks`: r + gamma * max_a' Q_target(s', a')
+    where the next row is set, else r, from one `q_encoded` call over the
+    picked next-state rows."""
+    out = data.reward[picks]
+    nxt = data.next[picks]
+    live = nxt >= 0
+    if live.any():
+        q = target_scorer.q_encoded(data.table, nxt[live], catalog, vocab)
+        out[live] = out[live] + gamma * q.max(axis=1)
+    return out
+
+
+def train_step_encoded(
+    scorer,
+    target_scorer,
+    data: EncodedTransitions,
+    picks: np.ndarray,
+    cfg: TrainerConfig,
+    catalog: StrategyCatalog,
+    vocab: Optional[Vocabulary],
+    optimizer: Adam,
+) -> tuple[float, float]:
+    """One optimizer step on the transitions `picks`: (loss, mean target)."""
+    targets = compute_targets_encoded(data, picks, target_scorer, catalog, vocab, cfg.gamma)
+    loss, grads = scorer.loss_and_grads_encoded(
+        data.table, data.state[picks], data.action[picks], targets, catalog, vocab
+    )
+    clip_global_norm(grads, cfg.grad_clip)
+    optimizer.step(scorer.params, grads)
+    return loss, float(targets.mean())
 
 
 def compute_targets(
@@ -176,15 +244,10 @@ def compute_targets(
     vocab: Optional[Vocabulary],
     gamma: float,
 ) -> np.ndarray:
-    """TD targets of a batch, with one `q_all` per distinct non-terminal
-    next-state object."""
-    once = _OncePerState(target_scorer)
-    out = np.empty(len(batch))
-    for i, tr in enumerate(batch):
-        if tr.reward is None:
-            raise ValueError("transition reward unset; assign rewards before training")
-        out[i] = td_target(tr.reward, tr.next_state, tr.terminal, once, catalog, vocab, gamma)
-    return out
+    """TD targets of a batch, with its distinct non-terminal next states
+    encoded once and scored in one batched call."""
+    data = encode_transitions(batch, target_scorer, catalog, vocab, gamma, states=False)
+    return compute_targets_encoded(data, np.arange(len(batch)), target_scorer, catalog, vocab, gamma)
 
 
 def train_step(
@@ -202,12 +265,8 @@ def train_step(
     """
     if not batch:
         raise InsufficientData("empty batch")
-    targets = compute_targets(batch, target_scorer, catalog, vocab, cfg.gamma)
-    items = [(tr.state, tr.action, float(t)) for tr, t in zip(batch, targets)]
-    loss, grads = scorer.loss_and_grads(items, catalog, vocab)
-    clip_global_norm(grads, cfg.grad_clip)
-    optimizer.step(scorer.params, grads)
-    return loss, float(targets.mean())
+    data = encode_transitions(batch, scorer, catalog, vocab, cfg.gamma)
+    return train_step_encoded(scorer, target_scorer, data, np.arange(len(batch)), cfg, catalog, vocab, optimizer)
 
 
 def fit(
@@ -219,13 +278,14 @@ def fit(
 ) -> TrainLog:
     """Run the DQN loop over a list of reward-assigned transitions.
 
-    Every step draws its batch from the whole list.  Epochs count passes
-    over the list; the target net syncs every `target_sync_every` optimizer
-    steps.
+    The list is encoded once; every step draws its batch from all of it.
+    Epochs count passes over the list; the target net syncs every
+    `target_sync_every` optimizer steps.
     """
     n = len(transitions)
     if n < cfg.batch_size:
         raise InsufficientData(f"need at least {cfg.batch_size} transitions, got {n}")
+    data = encode_transitions(transitions, scorer, catalog, vocab, cfg.gamma)
     rng = np.random.default_rng(cfg.seed + 1)
     target = scorer.clone()
     optimizer = Adam(cfg.learning_rate or scorer.default_learning_rate)
@@ -233,11 +293,10 @@ def fit(
     for step in range(cfg.epochs * (n // cfg.batch_size)):
         if cfg.sample_in_order:
             start = step * cfg.batch_size
-            picks = [(start + i) % n for i in range(cfg.batch_size)]
+            picks = (start + np.arange(cfg.batch_size)) % n
         else:
             picks = rng.integers(0, n, size=cfg.batch_size)
-        batch = [transitions[i] for i in picks]
-        loss, mean_target = train_step(scorer, target, batch, cfg, catalog, vocab, optimizer)
+        loss, mean_target = train_step_encoded(scorer, target, data, picks, cfg, catalog, vocab, optimizer)
         synced = (step + 1) % cfg.target_sync_every == 0
         if synced:
             sync_target(scorer, target)

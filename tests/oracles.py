@@ -5,6 +5,9 @@ dictionaries, deliberately sharing no code with supportq.metrics.  Two
 oracles check the `seq` scorer: `oracle_seq_q_all`, the slow path of its Q
 kernel (a full forward pass per action), and `tape_seq_q`, the transformer
 on the autodiff tape, whose gradients check the hand-written backward.
+`tape_mlp_q` does the same for the `mlp` scorer: its net on the tape over
+the (K, F) block of feature rows with each action's one-hot set, the form
+the scorer's split first layer computes without building the block.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 import supportq.autodiff as ad
 from supportq.encoding import encode_answer, encode_pair
+from supportq.qnet import extract_features
 
 
 def words(text):
@@ -285,3 +289,53 @@ def tape_seq_q(scorer, state, catalog, vocab, pv):
     words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
     space = ad.take_pairs(logp, np.zeros(k, dtype=int), np.full(k, pair.tokens[pair.action_span[0]]))
     return (space + ad.take_pairs(logp, np.ones(k, dtype=int), words)) * 0.5
+
+
+def feature_block(state, catalog, fc):
+    """(K, F) block whose row a - 1 is the state's feature row with action
+    a's one-hot set."""
+    row = extract_features(state, catalog, fc)
+    return row + np.eye(len(catalog), len(row), len(fc.emotions))
+
+
+def tape_mlp_q(scorer, state, catalog, vocab, pv):
+    """Q(s, .) of an MlpScorer as a `Var` on the autodiff tape over the
+    parameter `Var`s `pv`: the tanh net over `feature_block`, one row per
+    action.  `vocab` is unused; the signature is `tape_seq_q`'s."""
+    x = feature_block(state, catalog, scorer.config.features)
+    n_hidden = len(scorer.config.hidden)
+    for i in range(n_hidden + 1):
+        x = x @ pv[f"layers.{i}.w"] + pv[f"layers.{i}.b"]
+        if i < n_hidden:
+            x = ad.tanh(x)
+    return ad.reshape(x, (len(catalog),))
+
+
+def tape_grads(out, pv):
+    """Gradient of the scalar `Var` `out` with respect to every parameter `Var` in `pv`."""
+    ad.backward(out)
+    return {n: v.grad if v.grad is not None else np.zeros_like(v.data) for n, v in pv.items()}
+
+
+def tape_loss_grads(tape_q, scorer, items, catalog, vocab):
+    """Mean squared TD error of `items` and its gradient, on the autodiff
+    tape; `tape_q(scorer, state, catalog, vocab, pv)` is Q(s, .) as a `Var`."""
+    pv = {n: ad.Var(a) for n, a in scorer.params.items()}
+    qs = {}
+    total = None
+    for state, action, target in items:
+        if state not in qs:
+            qs[state] = tape_q(scorer, state, catalog, vocab, pv)
+        se = (ad.take_rows(qs[state], action - 1) - target) ** 2.0
+        total = se if total is None else total + se
+    loss = total * (1.0 / len(items))
+    return float(loss.data), tape_grads(loss, pv)
+
+
+def max_relative_error(grads, reference):
+    """Largest |difference| over all parameters, relative to the largest
+    |reference gradient|: a gradient that is zero in exact arithmetic (attn.bk,
+    because q . b_k shifts a row of scores equally) is compared as a zero."""
+    assert set(grads) == set(reference)
+    scale = max(float(np.abs(g).max()) for g in reference.values())
+    return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale

@@ -164,29 +164,6 @@ def test_ndarray_on_the_left_defers_to_var():
     np.testing.assert_allclose(w.grad, a.sum(axis=0)[:, None], rtol=1e-15)
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("take_rows", lambda x: (x, np.array([2, 0, 2]))),
-        ("take_pairs", lambda x: (x, np.array([0, 3, 3]), np.array([4, 1, 1]))),
-        ("reshape", lambda x: (x, (6, 4))),
-        ("swapaxes", lambda x: (x, 0, 1)),
-        ("tanh", lambda x: (x,)),
-        ("softmax", lambda x: (x,)),
-        ("log_softmax", lambda x: (x,)),
-        ("layer_norm", lambda x: (x, RNG.normal(size=6), RNG.normal(size=6))),
-        ("gelu", lambda x: (x,)),
-    ],
-)
-def test_numpy_ops_match_the_tape_bit_for_bit(name, args):
-    x = RNG.normal(size=(4, 6)) * 3.0
-    a = args(x)
-    taped = getattr(ad, name)(ad.Var(a[0]), *a[1:])
-    plain = getattr(ad.numpy_ops, name)(a[0].copy(), *a[1:])
-    assert plain.dtype == taped.data.dtype
-    np.testing.assert_array_equal(plain, taped.data)
-
-
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
 def test_python_scalars_keep_the_var_dtype(op):
     # numpy treats a Python scalar as weak and an np.float64 scalar as strong; the tape does too

@@ -13,8 +13,9 @@ import pytest
 
 import supportq
 from supportq.cli import ConfigError, RunConfig, load_run_config, main
-from supportq.env import StagedEnv, StagedEnvConfig
+from supportq.env import StagedEnv, StagedEnvConfig, value_iteration
 from supportq.ingest import save_episodes
+from supportq.qnet import load_scorer
 from supportq.training import TrainerConfig
 
 
@@ -176,6 +177,21 @@ class TestTrainCommand:
                    str(tmp_path / "c"), "--demo-episodes", "30", "--epochs", "1", "--seed", "6"])
         assert rc == 0
         assert sha(a) != sha(tmp_path / "c" / "checkpoint.npz")
+
+    def test_default_env_reward_mlp_run_follows_the_oracle_policy(self, tmp_path, catalog):
+        # the benchmark's mlp run: default budget and env, greedy policy
+        # against value iteration over every horizon-8 tabular state
+        out = tmp_path / "run"
+        assert main(["train", "--reward", "env", "--backend", "mlp", "--seed", "1", "--out-dir", str(out)]) == 0
+        scorer, _ = load_scorer(out / "checkpoint.npz")
+        env = StagedEnv(StagedEnvConfig(horizon=8, seed=1), catalog=catalog)
+        mdp = env.to_tabular()
+        oracle = value_iteration(mdp, gamma=0.85)
+        agree = sum(
+            scorer.select_strategy(env.canonical_state(lat), catalog) == oracle.policy[i]
+            for i, lat in enumerate(mdp.latents)
+        )
+        assert agree / len(mdp.latents) >= 0.95
 
 
 class TestEvalCommand:

@@ -13,7 +13,14 @@ from supportq.encoding import encode_pair
 from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
 
 from .conftest import fd_gradient, rel_error
-from .oracles import causal_mask, oracle_seq_q_all, tape_seq_q
+from .oracles import (
+    causal_mask,
+    max_relative_error,
+    oracle_seq_q_all,
+    tape_grads,
+    tape_loss_grads,
+    tape_seq_q,
+)
 
 
 def zeroed(scorer: SeqScorer) -> SeqScorer:
@@ -373,35 +380,6 @@ def long_state(query: str) -> DialogueState:
     return DialogueState(description="job stress", emotion=Emotion("anxiety"), history=history, query=query)
 
 
-def tape_grads(out, pv):
-    """Gradient of the scalar `Var` `out` with respect to every parameter `Var` in `pv`."""
-    ad.backward(out)
-    return {n: v.grad if v.grad is not None else np.zeros_like(v.data) for n, v in pv.items()}
-
-
-def tape_loss_grads(scorer, items, catalog, vocab):
-    """Mean squared TD error of `items` and its gradient, on the autodiff tape."""
-    pv = {n: ad.Var(a) for n, a in scorer.params.items()}
-    qs = {}
-    total = None
-    for state, action, target in items:
-        if state not in qs:
-            qs[state] = tape_seq_q(scorer, state, catalog, vocab, pv)
-        se = (ad.take_rows(qs[state], action - 1) - target) ** 2.0
-        total = se if total is None else total + se
-    loss = total * (1.0 / len(items))
-    return float(loss.data), tape_grads(loss, pv)
-
-
-def max_relative_error(grads, reference):
-    """Largest |difference| over all parameters, relative to the largest
-    |reference gradient|: a gradient that is zero in exact arithmetic (attn.bk,
-    because q . b_k shifts a row of scores equally) is compared as a zero."""
-    assert set(grads) == set(reference)
-    scale = max(float(np.abs(g).max()) for g in reference.values())
-    return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale
-
-
 class TestHandWrittenBackward:
     """The hand-written backward against the transformer on the autodiff tape."""
 
@@ -435,7 +413,7 @@ class TestHandWrittenBackward:
         other = dataclasses.replace(bare_state, query="What now?")
         items = [(state, 2, 0.5), (other, 3, 0.1), (state, 6, -0.5), (state, 2, -1.25)]
         loss, grads = scorer.loss_and_grads(items, catalog, small_vocab)
-        tape_loss, tape = tape_loss_grads(scorer, items, catalog, small_vocab)
+        tape_loss, tape = tape_loss_grads(tape_seq_q, scorer, items, catalog, small_vocab)
         assert loss == pytest.approx(tape_loss, rel=1e-12)
         assert max_relative_error(grads, tape) < 1e-12
 

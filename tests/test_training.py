@@ -7,7 +7,7 @@ import pytest
 
 from supportq.core import DialogueState, Emotion, Transition
 from supportq.env import StagedEnv, StagedEnvConfig, collect_transitions, value_iteration
-from supportq.qnet import MlpConfig, MlpScorer
+from supportq.qnet import MlpConfig, MlpScorer, extract_features
 from supportq.rewards import imitation_rewards
 from supportq.training import (
     Adam,
@@ -26,7 +26,7 @@ from .conftest import fd_gradient, rel_error
 
 
 class FixedScorer:
-    """Stub whose q_all is a constant vector (for target arithmetic tests)."""
+    """Stub whose Q(s, .) is a constant vector (for target arithmetic tests)."""
 
     backend = "mlp"
 
@@ -35,6 +35,12 @@ class FixedScorer:
 
     def q_all(self, state, catalog, vocab):
         return self.values
+
+    def encode(self, state, catalog, vocab):
+        return np.frombuffer(state.query.encode(), dtype=np.uint8)
+
+    def q_encoded(self, table, rows, catalog, vocab):
+        return np.tile(self.values, (len(rows), 1))
 
 
 class RecordingScorer:
@@ -55,8 +61,11 @@ class RecordingScorer:
     def load_state_dict(self, params):
         pass
 
-    def loss_and_grads(self, items, catalog, vocab=None):
-        self.seen.extend(t for _, _, t in items)
+    def encode(self, state, catalog, vocab):
+        return np.zeros(1)
+
+    def loss_and_grads_encoded(self, table, rows, actions, targets, catalog, vocab=None):
+        self.seen.extend(float(t) for t in targets)
         return 0.0, {"w": np.zeros(1)}
 
 
@@ -192,9 +201,9 @@ class TestTrainStep:
         class CountingScorer(FixedScorer):
             calls = 0
 
-            def q_all(self, state, catalog, vocab):
+            def encode(self, state, catalog, vocab):
                 self.calls += 1
-                return self.values
+                return super().encode(state, catalog, vocab)
 
         nexts = [dataclasses.replace(bare_state, query=f"next {i}?") for i in range(2)]
         base = [Transition(state=tiny_state, action=1, next_state=n, terminal=False) for n in nexts]
@@ -267,7 +276,7 @@ class TestFit:
             for i in range(16)
         ]
         fc = FeatureConfig()
-        rows = {tuple(extract_features(s, two, fc)[0]) for s in states}
+        rows = {tuple(extract_features(s, two, fc)) for s in states}
         assert len(rows) == len(states)  # separable: no feature collisions
         rng = np.random.default_rng(5)
         gold = {s.query: int(rng.integers(1, 3)) for s in states}
@@ -320,6 +329,41 @@ class TestFit:
             for lat, s in visited.items()
         )
         assert agree == len(visited)
+
+    def test_fit_extracts_features_once_per_state_object(self, catalog, monkeypatch):
+        env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
+        transitions = collect_transitions(env, 40, seed=0)
+        objects = {id(tr.state) for tr in transitions}
+        objects |= {id(tr.next_state) for tr in transitions if not tr.terminal}
+        calls = []
+
+        def counted(state, *args):
+            calls.append(id(state))
+            return extract_features(state, *args)
+
+        monkeypatch.setattr("supportq.qnet.mlp.extract_features", counted)
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        fit(transitions, scorer, catalog, None, TrainerConfig(gamma=0.85, seed=0, epochs=2))
+        assert len(calls) == len(objects)
+        assert set(calls) == objects
+
+    def test_fit_step_is_train_step_bit_for_bit(self, catalog):
+        # the batch is a reversed slice: its rows in fit's table of every
+        # transition differ from those in train_step's table of the batch
+        env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
+        transitions = collect_transitions(env, 40, seed=0)[::-1]
+        cfg = TrainerConfig(gamma=0.85, seed=0, epochs=1, batch_size=200, sample_in_order=True)
+        fitted = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        stepped = fitted.clone()
+        log = fit(transitions, fitted, catalog, None, cfg)
+        assert len(log) == 1
+        optimizer = Adam(stepped.default_learning_rate)
+        loss, mean_target = train_step(
+            stepped, stepped.clone(), transitions[:200], cfg, catalog, None, optimizer
+        )
+        assert (log.records[0].loss, log.records[0].mean_target) == (loss, mean_target)
+        for name, value in fitted.params.items():
+            np.testing.assert_array_equal(value, stepped.params[name])
 
     def test_log_csv_round_trip(self, catalog, tmp_path):
         env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)

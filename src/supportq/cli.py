@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -372,7 +373,7 @@ def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
     _write_json(out / "report.json", report.to_dict())
     write_matrix_csv(out / "confusion.csv", report.confusion, catalog)
     write_matrix_csv(out / "transition.csv", report.transition, catalog)
-    _per_strategy_csv(out / "per_strategy.csv", pred, gold, hyps, refs, catalog)
+    _per_strategy_csv(out / "per_strategy.csv", pred, gold, hyps, refs, report.confusion, catalog)
     _write_manifest(out, "eval", cfg, [checkpoint, cfg.testset_path or cfg.dataset_path])
     print(
         f"eval on {len(gold)} turns: acc={report.accuracy:.4f} "
@@ -381,17 +382,14 @@ def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
     )
 
 
-def _per_strategy_csv(path, pred, gold, hyps, refs, catalog) -> None:
-    import csv as _csv
-
+def _per_strategy_csv(path, pred, gold, hyps, refs, counts, catalog) -> None:
     k = len(catalog)
     strengths = bt_strengths(pred, gold, k)
     log_s = np.log(strengths)
     centered = np.abs(log_s - log_s.mean())
-    counts = confusion_matrix(pred, gold, k)
     f1 = per_class_f1(counts)
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(
             ["strategy", "abbr", "stage", "support", "acc", "f1", "bias", "bleu2", "rouge_l", "distinct2", "cider"]
         )
@@ -419,8 +417,6 @@ def _per_strategy_csv(path, pred, gold, hyps, refs, catalog) -> None:
 
 
 def _sweep(cfg: RunConfig, out: Path, gammas: list[float]) -> None:
-    import csv as _csv
-
     rows = []
     for gamma in gammas:
         sub = dataclasses.replace(cfg, gamma=gamma, out_dir=str(out / f"gamma_{gamma:g}"))
@@ -439,7 +435,7 @@ def _sweep(cfg: RunConfig, out: Path, gammas: list[float]) -> None:
             }
         )
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=["gamma", "acc", "macro_f1", "bleu2", "rouge_l"])
+        writer = csv.DictWriter(fh, fieldnames=["gamma", "acc", "macro_f1", "bleu2", "rouge_l"])
         writer.writeheader()
         writer.writerows(rows)
     _write_manifest(out, "sweep", cfg, [cfg.dataset_path] if cfg.dataset_path else [])

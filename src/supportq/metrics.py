@@ -8,12 +8,21 @@ whitespace tokens.  Plus the analysis artifacts: confusion and transition
 matrices, the stage-ordering mass of a transition matrix, and averaged
 reward / summed discounted return over rollouts.
 
-Everything here is a pure function.
+Everything here is a pure function: no state outlives a call.  Within a
+call, each text metric tokenises and counts n-grams once per distinct text
+and scores each distinct (hypothesis, reference) pair once, then expands the
+per-pair values back to input order before the final mean or integer sums.
+So the results equal the per-pair definition bit for bit
+(`tests/oracles.py`'s `per_pair_*`).  Eval's hypotheses are the 8 strategy
+templates, so a corpus of thousands of turns holds only a few dozen distinct
+pairs when its references are templated too; when the references are mostly
+distinct the saving shrinks to the hypotheses' side.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -133,22 +142,31 @@ def _check_text_pairs(hyps: Sequence[str], refs: Sequence[str]) -> None:
         raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
 
 
+def _tokenised(*corpora: Sequence[str]) -> dict[str, list[str]]:
+    """Each distinct text of the corpora, tokenised once."""
+    return {text: _tokens(text) for text in dict.fromkeys(itertools.chain(*corpora))}
+
+
 def bleu2(hyps: Sequence[str], refs: Sequence[str], eps: float = 1e-9) -> float:
     """Corpus BLEU with uniform 1/2-gram weights, clipped counts, brevity
-    penalty exp(1 - r/c) for short output, and eps-floored precisions."""
+    penalty exp(1 - r/c) for short output, and eps-floored precisions.
+
+    Every count is an integer, so each distinct pair is counted once and
+    weighted by how often it occurs."""
     _check_text_pairs(hyps, refs)
+    toks = _tokenised(hyps, refs)
+    grams = {text: (_ngrams(t, 1), _ngrams(t, 2)) for text, t in toks.items()}
     matches = [0, 0]
     totals = [0, 0]
     hyp_len = 0
     ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        h, r = _tokens(hyp), _tokens(ref)
-        hyp_len += len(h)
-        ref_len += len(r)
+    for (hyp, ref), m in Counter(zip(hyps, refs)).items():
+        hyp_len += m * len(toks[hyp])
+        ref_len += m * len(toks[ref])
         for n in (1, 2):
-            hc, rc = _ngrams(h, n), _ngrams(r, n)
-            matches[n - 1] += sum(min(c, rc[g]) for g, c in hc.items())
-            totals[n - 1] += sum(hc.values())
+            hc, rc = grams[hyp][n - 1], grams[ref][n - 1]
+            matches[n - 1] += m * sum(min(c, rc[g]) for g, c in hc.items())
+            totals[n - 1] += m * sum(hc.values())
     if hyp_len == 0:
         return 0.0
     precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
@@ -172,17 +190,18 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
 def rouge_l(hyps: Sequence[str], refs: Sequence[str], beta: float = 1.2) -> float:
     """Mean LCS-based F-measure with recall weight beta."""
     _check_text_pairs(hyps, refs)
-    scores = []
-    for hyp, ref in zip(hyps, refs):
-        h, r = _tokens(hyp), _tokens(ref)
+    toks = _tokenised(hyps, refs)
+    pair_score = {}
+    for hyp, ref in dict.fromkeys(zip(hyps, refs)):
+        h, r = toks[hyp], toks[ref]
         lcs = _lcs_length(h, r)
         if lcs == 0 or not h or not r:
-            scores.append(0.0)
+            pair_score[hyp, ref] = 0.0
             continue
         precision = lcs / len(h)
         recall = lcs / len(r)
-        scores.append((1 + beta**2) * precision * recall / (recall + beta**2 * precision))
-    return float(np.mean(scores))
+        pair_score[hyp, ref] = (1 + beta**2) * precision * recall / (recall + beta**2 * precision)
+    return float(np.mean([pair_score[pair] for pair in zip(hyps, refs)]))
 
 
 def distinct2(hyps: Sequence[str]) -> float:
@@ -191,11 +210,11 @@ def distinct2(hyps: Sequence[str]) -> float:
         raise EmptyInput("no hypotheses")
     total = 0
     seen: set[tuple[str, str]] = set()
-    for hyp in hyps:
+    for hyp, m in Counter(hyps).items():
         toks = _tokens(hyp)
-        for i in range(len(toks) - 1):
-            seen.add((toks[i], toks[i + 1]))
-            total += 1
+        bigrams = list(zip(toks, toks[1:]))
+        seen.update(bigrams)
+        total += m * len(bigrams)
     return len(seen) / total if total else 0.0
 
 
@@ -203,37 +222,40 @@ def cider(
     hyps: Sequence[str], refs: Sequence[str], max_n: int = 4, sigma: float = 6.0
 ) -> float:
     """tf-idf n-gram cosine similarity, n = 1..max_n, with a Gaussian length
-    penalty, scaled by 10.  Document frequencies come from the references."""
+    penalty, scaled by 10.  Document frequencies come from the references.
+
+    The document frequencies are fixed for a call, so each distinct text's
+    tf-idf vectors and their norms are built once."""
     _check_text_pairs(hyps, refs)
     n_docs = len(refs)
+    toks = _tokenised(hyps, refs)
+    grams = {text: [_ngrams(t, n) for n in range(1, max_n + 1)] for text, t in toks.items()}
     doc_freq: list[Counter] = [Counter() for _ in range(max_n)]
-    ref_tokens = [_tokens(r) for r in refs]
-    for toks in ref_tokens:
-        for n in range(1, max_n + 1):
-            for gram in set(_ngrams(toks, n)):
-                doc_freq[n - 1][gram] += 1
+    for ref, m in Counter(refs).items():
+        for df, counts in zip(doc_freq, grams[ref]):
+            for g in counts:
+                df[g] += m
 
-    def vector(tokens: list[str], n: int) -> dict:
-        counts = _ngrams(tokens, n)
-        df = doc_freq[n - 1]
-        return {
-            g: c * math.log(n_docs / max(df[g], 1)) for g, c in counts.items()
-        }
+    vectors = {
+        text: [
+            {g: c * math.log(n_docs / max(df[g], 1)) for g, c in counts.items()}
+            for df, counts in zip(doc_freq, per_n)
+        ]
+        for text, per_n in grams.items()
+    }
+    norms = {
+        text: [math.sqrt(sum(w * w for w in v.values())) for v in vs] for text, vs in vectors.items()
+    }
 
-    scores = []
-    for hyp, r_toks in zip(hyps, ref_tokens):
-        h_toks = _tokens(hyp)
-        penalty = math.exp(-((len(h_toks) - len(r_toks)) ** 2) / (2 * sigma**2))
+    pair_score = {}
+    for hyp, ref in dict.fromkeys(zip(hyps, refs)):
+        penalty = math.exp(-((len(toks[hyp]) - len(toks[ref])) ** 2) / (2 * sigma**2))
         sims = []
-        for n in range(1, max_n + 1):
-            hv = vector(h_toks, n)
-            rv = vector(r_toks, n)
+        for hv, rv, norm_h, norm_r in zip(vectors[hyp], vectors[ref], norms[hyp], norms[ref]):
             dot = sum(w * rv[g] for g, w in hv.items() if g in rv)
-            norm_h = math.sqrt(sum(w * w for w in hv.values()))
-            norm_r = math.sqrt(sum(w * w for w in rv.values()))
             sims.append(dot / (norm_h * norm_r) if norm_h > 0 and norm_r > 0 else 0.0)
-        scores.append(10.0 * penalty * float(np.mean(sims)))
-    return float(np.mean(scores))
+        pair_score[hyp, ref] = 10.0 * penalty * float(np.mean(sims))
+    return float(np.mean([pair_score[pair] for pair in zip(hyps, refs)]))
 
 
 # -- analysis artifacts --------------------------------------------------------

@@ -8,6 +8,12 @@ on the autodiff tape, whose gradients check the hand-written backward.
 `tape_mlp_q` does the same for the `mlp` scorer: its net on the tape over
 the (K, F) block of feature rows with each action's one-hot set, the form
 the scorer's split first layer computes without building the block.
+
+The `per_pair_*` text metrics are the slow reference path of the library's
+text metrics: they re-tokenise and score every (hypothesis, reference) pair
+in input order, with the library's own operations in the library's order,
+so the library, which scores each distinct pair once, must equal them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -148,6 +154,86 @@ def oracle_cider(hyps, refs, max_n=4, sigma=6.0):
             sims.append(dot / (nh * nr) if nh > 0 and nr > 0 else 0.0)
         pair_scores.append(10.0 * penalty * sum(sims) / max_n)
     return sum(pair_scores) / len(pair_scores)
+
+
+def ngram_counts(tokens, n):
+    return Counter(grams(tokens, n))
+
+
+def per_pair_bleu2(hyps, refs, eps=1e-9):
+    matches = [0, 0]
+    totals = [0, 0]
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        h, r = words(hyp), words(ref)
+        hyp_len += len(h)
+        ref_len += len(r)
+        for n in (1, 2):
+            hc, rc = ngram_counts(h, n), ngram_counts(r, n)
+            matches[n - 1] += sum(min(c, rc[g]) for g, c in hc.items())
+            totals[n - 1] += sum(hc.values())
+    if hyp_len == 0:
+        return 0.0
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
+    precisions = [p if p > 0.0 else eps for p in precisions]
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(0.5 * (math.log(precisions[0]) + math.log(precisions[1])))
+
+
+def per_pair_rouge_l(hyps, refs, beta=1.2):
+    scores = []
+    for hyp, ref in zip(hyps, refs):
+        h, r = words(hyp), words(ref)
+        lcs = oracle_lcs(h, r)
+        if lcs == 0 or not h or not r:
+            scores.append(0.0)
+            continue
+        precision = lcs / len(h)
+        recall = lcs / len(r)
+        scores.append((1 + beta**2) * precision * recall / (recall + beta**2 * precision))
+    return float(np.mean(scores))
+
+
+def per_pair_distinct2(hyps):
+    total = 0
+    seen = set()
+    for hyp in hyps:
+        toks = words(hyp)
+        for i in range(len(toks) - 1):
+            seen.add((toks[i], toks[i + 1]))
+            total += 1
+    return len(seen) / total if total else 0.0
+
+
+def per_pair_cider(hyps, refs, max_n=4, sigma=6.0):
+    n_docs = len(refs)
+    doc_freq = [Counter() for _ in range(max_n)]
+    ref_tokens = [words(r) for r in refs]
+    for toks in ref_tokens:
+        for n in range(1, max_n + 1):
+            for gram in set(ngram_counts(toks, n)):
+                doc_freq[n - 1][gram] += 1
+
+    def vector(tokens, n):
+        counts = ngram_counts(tokens, n)
+        df = doc_freq[n - 1]
+        return {g: c * math.log(n_docs / max(df[g], 1)) for g, c in counts.items()}
+
+    scores = []
+    for hyp, r_toks in zip(hyps, ref_tokens):
+        h_toks = words(hyp)
+        penalty = math.exp(-((len(h_toks) - len(r_toks)) ** 2) / (2 * sigma**2))
+        sims = []
+        for n in range(1, max_n + 1):
+            hv = vector(h_toks, n)
+            rv = vector(r_toks, n)
+            dot = sum(w * rv[g] for g, w in hv.items() if g in rv)
+            norm_h = math.sqrt(sum(w * w for w in hv.values()))
+            norm_r = math.sqrt(sum(w * w for w in rv.values()))
+            sims.append(dot / (norm_h * norm_r) if norm_h > 0 and norm_r > 0 else 0.0)
+        scores.append(10.0 * penalty * float(np.mean(sims)))
+    return float(np.mean(scores))
 
 
 def bt_log_likelihood(wins, strengths):

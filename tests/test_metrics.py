@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from supportq.env import response_template
 from supportq.metrics import (
     EmptyInput,
     LengthMismatch,
@@ -237,6 +238,86 @@ class TestCider:
             assert ours >= 0.0
             assert ours == pytest.approx(oracles.oracle_cider(hyps, refs), abs=1e-9)
 
+
+
+def text_suite(hyps, refs):
+    return (bleu2(hyps, refs), rouge_l(hyps, refs), distinct2(hyps), cider(hyps, refs))
+
+
+def per_pair_suite(hyps, refs):
+    return (
+        oracles.per_pair_bleu2(hyps, refs),
+        oracles.per_pair_rouge_l(hyps, refs),
+        oracles.per_pair_distinct2(hyps),
+        oracles.per_pair_cider(hyps, refs),
+    )
+
+
+def brute_force_suite(hyps, refs):
+    return (
+        oracles.oracle_bleu2(hyps, refs),
+        oracles.oracle_rouge_l(hyps, refs),
+        oracles.oracle_distinct2(hyps),
+        oracles.oracle_cider(hyps, refs),
+    )
+
+
+def templated_corpus(catalog, n, seed):
+    """Eval's shape in env mode: each turn's hypothesis is the template of the
+    predicted strategy and its reference the template of the gold one."""
+    rng = np.random.default_rng(seed)
+    templates = [response_template(s.name) for s in catalog]
+    pred = rng.integers(1, len(catalog) + 1, n).tolist()
+    gold = rng.integers(1, len(catalog) + 1, n).tolist()
+    return [templates[p - 1] for p in pred], [templates[g - 1] for g in gold], gold
+
+
+def repeated_corpus(seed, n):
+    """Pairs drawn with replacement from a small pool that holds empty,
+    blank and one-token texts, so most pairs and texts repeat."""
+    import random
+
+    rng = random.Random(seed)
+    pool = ["", "   ", "cat", "Cat", "sad"] + random_sentences(rng, 6)
+    return [rng.choice(pool) for _ in range(n)], [rng.choice(pool) for _ in range(n)]
+
+
+class TestTextMetricsEqualPerPair:
+    """Scoring each distinct pair once changes no bit of any text metric."""
+
+    def test_templated_corpus(self, catalog):
+        hyps, refs, _ = templated_corpus(catalog, 640, seed=0)
+        assert len(set(hyps)) == len(set(refs)) == 8
+        ours = text_suite(hyps, refs)
+        assert ours == per_pair_suite(hyps, refs)
+        assert ours == pytest.approx(brute_force_suite(hyps, refs), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_corpora_with_repeats(self, seed):
+        hyps, refs = repeated_corpus(seed, n=1 + 7 * seed)
+        ours = text_suite(hyps, refs)
+        assert ours == per_pair_suite(hyps, refs)
+        assert ours == pytest.approx(brute_force_suite(hyps, refs), abs=1e-9)
+
+    def test_degenerate_corpora(self):
+        for hyps, refs in [
+            ([""], [""]),
+            (["", ""], ["cat", ""]),
+            (["cat"] * 5, ["cat"] * 5),
+            (["cat", "dog"] * 3, ["dog", "dog", "cat"] * 2),
+            (["the cat sat"] * 4, ["", "the", "the cat", "the cat sat on"]),
+        ]:
+            assert text_suite(hyps, refs) == per_pair_suite(hyps, refs)
+
+    def test_per_strategy_subsets(self, catalog):
+        hyps, refs, gold = templated_corpus(catalog, 520, seed=1)
+        rh, rr = repeated_corpus(seed=3, n=520)
+        for corpus_h, corpus_r in ((hyps, refs), (rh, rr)):
+            for s in catalog:
+                idx = [i for i, g in enumerate(gold) if g == s.id]
+                sub_h = [corpus_h[i] for i in idx]
+                sub_r = [corpus_r[i] for i in idx]
+                assert text_suite(sub_h, sub_r) == per_pair_suite(sub_h, sub_r)
 
 class TestMatrices:
     def test_perfect_predictions_diagonal(self):

@@ -46,7 +46,6 @@ from .metrics import (
     accuracy,
     avg_reward_value,
     bleu2,
-    bt_bias,
     bt_strengths,
     cider,
     confusion_matrix,
@@ -55,6 +54,7 @@ from .metrics import (
     per_class_f1,
     rouge_l,
     stage_upper_mass,
+    strength_bias,
     transition_matrix,
     write_matrix_csv,
 )
@@ -358,10 +358,11 @@ def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
         raise EmptyInput("test set produced no evaluation samples")
 
     k = len(catalog)
+    strengths = bt_strengths(pred, gold, k)
     report = MetricReport(
         accuracy=accuracy(pred, gold),
         proficiency=macro_f1(pred, gold, k),
-        preference_bias=bt_bias(pred, gold, k),
+        preference_bias=strength_bias(strengths),
         bleu2=bleu2(hyps, refs),
         rouge_l=rouge_l(hyps, refs),
         distinct2=distinct2(hyps),
@@ -373,7 +374,7 @@ def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
     _write_json(out / "report.json", report.to_dict())
     write_matrix_csv(out / "confusion.csv", report.confusion, catalog)
     write_matrix_csv(out / "transition.csv", report.transition, catalog)
-    _per_strategy_csv(out / "per_strategy.csv", pred, gold, hyps, refs, report.confusion, catalog)
+    _per_strategy_csv(out / "per_strategy.csv", gold, hyps, refs, report.confusion, strengths, catalog)
     _write_manifest(out, "eval", cfg, [checkpoint, cfg.testset_path or cfg.dataset_path])
     print(
         f"eval on {len(gold)} turns: acc={report.accuracy:.4f} "
@@ -382,9 +383,7 @@ def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
     )
 
 
-def _per_strategy_csv(path, pred, gold, hyps, refs, counts, catalog) -> None:
-    k = len(catalog)
-    strengths = bt_strengths(pred, gold, k)
+def _per_strategy_csv(path, gold, hyps, refs, counts, strengths, catalog) -> None:
     log_s = np.log(strengths)
     centered = np.abs(log_s - log_s.mean())
     f1 = per_class_f1(counts)

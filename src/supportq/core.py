@@ -29,7 +29,10 @@ class Stage(Enum):
     @property
     def rank(self) -> Optional[int]:
         """1/2/3 for the ordered stages, None for unstaged strategies."""
-        return {"I": 1, "II": 2, "III": 3}.get(self.value)
+        return _STAGE_RANKS[self]
+
+
+_STAGE_RANKS = {Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: None}
 
 
 class Speaker(Enum):

@@ -8,6 +8,13 @@ the hidden tuple, the whole process exports to an explicit tabular MDP, and
 value iteration on that table gives ground-truth Q values against which a
 trained scorer can be checked exactly.
 
+Sampling: every random choice of reset and step draws one uniform from the
+episode's generator and maps it through a cumulative distribution built once
+per environment, the same cumsum-and-normalise `Generator.choice(n, p=...)`
+builds on every call.  The streams, and so every episode, are those
+`Generator.choice` would give; only its per-call checks and rebuilding are
+skipped, and `StagedEnvConfig` rejects at construction what they rejected.
+
 Reward design: an action whose stage matches the seeker's current stage pays
 +1 scaled by a per-strategy effectiveness (the lowest-id strategy of each
 stage is the most effective), a regression to an earlier stage pays -1, and
@@ -18,6 +25,7 @@ unique in every state, so "agrees with the oracle policy" is well defined.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -112,13 +120,25 @@ class StagedEnvConfig:
             raise ValueError("horizon must be at least 2")
         if self.reward_source not in ("stage_match", "judge"):
             raise ValueError(f"unknown reward source {self.reward_source!r}")
+        for name in ("match_advance_prob", "mismatch_advance_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not all(math.isfinite(w) and w >= 0 for _, w in self.emotion_weights):
+            raise ValueError("emotion weights must be finite and non-negative")
         total = sum(w for _, w in self.emotion_weights)
-        if total <= 0:
-            raise ValueError("emotion weights must have positive mass")
+        if not 0 < total < math.inf:
+            raise ValueError("emotion weights must have positive finite mass")
 
 
 def response_template(name: str) -> str:
     return RESPONSE_TEMPLATES.get(name, f"I hear you. Let me offer {name.lower()}.")
+
+
+def _choice_cdf(p) -> np.ndarray:
+    """The CDF `Generator.choice(len(p), p=p)` searches with its one uniform."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class StagedEnv:
@@ -129,7 +149,13 @@ class StagedEnv:
         self.catalog = catalog if catalog is not None else default_catalog()
         self._labels = tuple(label for label, _ in config.emotion_weights)
         weights = np.array([w for _, w in config.emotion_weights], dtype=np.float64)
-        self._probs = weights / weights.sum()
+        self._emotion_cdf = _choice_cdf(weights / weights.sum())
+        # u < cut picks the stage advance, as choice(2, p=[adv, 1 - adv]) does
+        self._advance_cut = {
+            adv: float(_choice_cdf([adv, 1.0 - adv])[0])
+            for adv in (config.match_advance_prob, config.mismatch_advance_prob)
+        }
+        self._rank = {s.id: s.stage.rank for s in self.catalog}
         # lowest id per stage is the most effective strategy of that stage
         first_of_stage: dict[int, int] = {}
         self._effectiveness: dict[int, float] = {}
@@ -152,10 +178,7 @@ class StagedEnv:
         self._rng = self._master
         self._done = True
         self._latent: Optional[LatentState] = None
-        self._history: list[Turn] = []
-        self._query = ""
-        self._description = ""
-        self._emotion: Optional[Emotion] = None
+        self._state: Optional[DialogueState] = None
         self.last_response: Optional[str] = None
 
     # -- helpers --------------------------------------------------------------
@@ -164,7 +187,7 @@ class StagedEnv:
         return self._effectiveness[action]
 
     def _action_stage(self, action: int) -> Optional[int]:
-        return self.catalog.stage_of(action).rank
+        return self._rank[action]
 
     def _query_text(self, latent: LatentState) -> str:
         pool = STAGE_QUERIES[latent.stage]
@@ -181,15 +204,10 @@ class StagedEnv:
         return self._done
 
     def state(self) -> DialogueState:
-        if self._latent is None:
+        """The state the last reset or step returned."""
+        if self._state is None:
             raise RuntimeError("environment not reset")
-        assert self._emotion is not None
-        return DialogueState(
-            description=self._description,
-            emotion=self._emotion,
-            history=tuple(self._history),
-            query=self._query,
-        )
+        return self._state
 
     # -- dynamics -------------------------------------------------------------
 
@@ -225,44 +243,61 @@ class StagedEnv:
         return [(up, adv), (stay, 1.0 - adv)]
 
     def reset(self, seed: Optional[int] = None) -> DialogueState:
-        """Start a fresh episode; a given seed makes it exactly reproducible."""
+        """Start a fresh episode; a given seed makes it exactly reproducible.
+
+        Draws one uniform for the emotion label, the draw and the label
+        `Generator.choice(len(labels), p=weights)` gives, then one
+        `integers(1, 6)` for its intensity.
+        """
         self._rng = np.random.default_rng(seed) if seed is not None else self._master
-        label = self._labels[int(self._rng.choice(len(self._labels), p=self._probs))]
+        label = self._labels[int(self._emotion_cdf.searchsorted(self._rng.random(), side="right"))]
         intensity = int(self._rng.integers(1, 6))
         self._latent = LatentState(progress=0, stage=1, emotion=label, last_slot=0)
-        self._emotion = Emotion(label, intensity)
-        self._description = DESCRIPTION_TEMPLATE.format(label=label)
-        self._history = []
-        self._query = self._query_text(self._latent)
+        self._state = DialogueState(
+            description=DESCRIPTION_TEMPLATE.format(label=label),
+            emotion=Emotion(label, intensity),
+            history=(),
+            query=self._query_text(self._latent),
+        )
         self._done = False
         self.last_response = None
-        return self.state()
+        return self._state
 
     def step(self, action: int) -> tuple[DialogueState, float, bool]:
-        """Apply a strategy; returns (next state, reward, terminal)."""
+        """Apply a strategy; returns (next state, reward, terminal).
+
+        A non-terminal step draws one uniform to pick its successor, the draw
+        and the pick `Generator.choice` over the successor probabilities
+        gives, even when the one successor is certain; a terminal step draws
+        nothing.
+        """
         if self._done or self._latent is None:
             raise EpisodeFinished("call reset() before stepping")
-        self.catalog.by_id(action)
-        latent = self._latent
-        state = self.state()
         response = response_template(self.catalog.by_id(action).name)
+        latent, state = self._latent, self._state
         reward = self._reward(latent, action, state, response)
         self.last_response = response
 
         successors = self._successors(latent, action)
-        self._history.append(Turn(Speaker.SEEKER, self._query))
-        self._history.append(Turn(Speaker.SUPPORTER, response, strategy=action))
+        history = state.history + (
+            Turn(Speaker.SEEKER, state.query),
+            Turn(Speaker.SUPPORTER, response, strategy=action),
+        )
         if not successors:
             self._done = True
             self._latent = LatentState(
                 self.config.horizon, latent.stage, latent.emotion, self._last_slot(action)
             )
-            return self.state(), reward, True
-        probs = np.array([p for _, p in successors])
-        pick = int(self._rng.choice(len(successors), p=probs))
-        self._latent = successors[pick][0]
-        self._query = self._query_text(self._latent)
-        return self.state(), reward, False
+            query = state.query
+        else:
+            u = self._rng.random()  # drawn over a certain successor too, as choice does
+            nxt, adv = successors[0]
+            if len(successors) == 2 and u >= self._advance_cut[adv]:
+                nxt = successors[1][0]
+            self._latent = nxt
+            query = self._query_text(nxt)
+        self._state = DialogueState(state.description, state.emotion, history, query)
+        return self._state, reward, self._done
 
     def _last_slot(self, action: int) -> int:
         rank = self._action_stage(action)
@@ -362,7 +397,8 @@ class StagedEnv:
             while not done:
                 stage = self.latent.stage
                 if rng.random() < fidelity:
-                    action = int(rng.choice(by_stage[stage]))
+                    pool = by_stage[stage]  # rng.choice(pool) is this one integers draw
+                    action = pool[int(rng.integers(0, len(pool)))]
                 else:
                     action = int(rng.integers(1, len(self.catalog) + 1))
                 turns.append(

@@ -120,7 +120,11 @@ def bt_strengths(
 
 def bt_bias(pred: Sequence[int], gold: Sequence[int], k: int, prior: float = 0.1) -> float:
     """Standard deviation of log Bradley-Terry strengths; smaller is less biased."""
-    strengths = bt_strengths(pred, gold, k, prior=prior)
+    return strength_bias(bt_strengths(pred, gold, k, prior=prior))
+
+
+def strength_bias(strengths: np.ndarray) -> float:
+    """`bt_bias` of strengths already fitted by `bt_strengths`."""
     return float(np.std(np.log(strengths)))
 
 

@@ -20,8 +20,6 @@ import os
 import re
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Protocol
@@ -202,6 +200,10 @@ class RemoteJudge:
         return value
 
     def _request(self, prompt: str) -> str:
+        # imported here: only the HTTP judge needs urllib, and it costs every command ~20 ms
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(
             {
                 "model": self.config.model,

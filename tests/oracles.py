@@ -14,6 +14,11 @@ text metrics: they re-tokenise and score every (hypothesis, reference) pair
 in input order, with the library's own operations in the library's order,
 so the library, which scores each distinct pair once, must equal them bit
 for bit.
+
+`ChoiceDrawEnv` is the slow reference path of `StagedEnv`'s sampling: every
+random choice is a `Generator.choice` call, and every state is rebuilt from
+a history list, so the environment, which draws one uniform through a CDF
+built once and keeps the state it returned, must give equal episodes.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from collections import Counter
 import numpy as np
 
 import supportq.autodiff as ad
+from supportq.core import DialogueState, Emotion, Episode, Speaker, Turn
 from supportq.encoding import encode_answer, encode_pair
+from supportq.env import DESCRIPTION_TEMPLATE, EpisodeFinished, LatentState, StagedEnv, response_template
 from supportq.qnet import extract_features
 
 
@@ -425,3 +432,81 @@ def max_relative_error(grads, reference):
     assert set(grads) == set(reference)
     scale = max(float(np.abs(g).max()) for g in reference.values())
     return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale
+
+
+class ChoiceDrawEnv(StagedEnv):
+    """`StagedEnv` drawing through `Generator.choice`: `choice(n, p=...)` in
+    reset and step, `choice(list)` in demo_episodes, each state rebuilt."""
+
+    def __init__(self, config, catalog=None):
+        super().__init__(config, catalog)
+        weights = np.array([w for _, w in config.emotion_weights], dtype=np.float64)
+        self._probs = weights / weights.sum()
+
+    def state(self):
+        return DialogueState(self._description, self._emotion, tuple(self._history), self._query)
+
+    def reset(self, seed=None):
+        self._rng = np.random.default_rng(seed) if seed is not None else self._master
+        label = self._labels[int(self._rng.choice(len(self._labels), p=self._probs))]
+        intensity = int(self._rng.integers(1, 6))
+        self._latent = LatentState(progress=0, stage=1, emotion=label, last_slot=0)
+        self._emotion = Emotion(label, intensity)
+        self._description = DESCRIPTION_TEMPLATE.format(label=label)
+        self._history = []
+        self._query = self._query_text(self._latent)
+        self._done = False
+        self.last_response = None
+        return self.state()
+
+    def step(self, action):
+        if self._done or self._latent is None:
+            raise EpisodeFinished("call reset() before stepping")
+        latent = self._latent
+        state = self.state()
+        response = response_template(self.catalog.by_id(action).name)
+        reward = self._reward(latent, action, state, response)
+        self.last_response = response
+        successors = self._successors(latent, action)
+        self._history.append(Turn(Speaker.SEEKER, self._query))
+        self._history.append(Turn(Speaker.SUPPORTER, response, strategy=action))
+        if not successors:
+            self._done = True
+            self._latent = LatentState(
+                self.config.horizon, latent.stage, latent.emotion, self._last_slot(action)
+            )
+            return self.state(), reward, True
+        probs = np.array([p for _, p in successors])
+        pick = int(self._rng.choice(len(successors), p=probs))
+        self._latent = successors[pick][0]
+        self._query = self._query_text(self._latent)
+        return self.state(), reward, False
+
+    def demo_episodes(self, n, fidelity=0.65, seed=0):
+        rng = np.random.default_rng(seed)
+        by_stage = {1: [], 2: [], 3: []}
+        for s in self.catalog:
+            if s.stage.rank is not None:
+                by_stage[s.stage.rank].append(s.id)
+        episodes = []
+        for i in range(n):
+            state = self.reset(seed=int(rng.integers(2**31)))
+            turns = []
+            done = False
+            while not done:
+                if rng.random() < fidelity:
+                    action = int(rng.choice(by_stage[self.latent.stage]))
+                else:
+                    action = int(rng.integers(1, len(self.catalog) + 1))
+                turns.append(Turn(Speaker.SEEKER, state.query, emotion=None if turns else state.emotion))
+                state, _, done = self.step(action)
+                turns.append(Turn(Speaker.SUPPORTER, self.last_response or "", strategy=action))
+            episodes.append(
+                Episode(
+                    description=state.description,
+                    turns=tuple(turns),
+                    session_id=f"demo-{i:05d}",
+                    emotion=state.emotion,
+                )
+            )
+        return episodes

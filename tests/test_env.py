@@ -13,10 +13,11 @@ from supportq.env import (
     StagedEnvConfig,
     StateSpaceTooLarge,
     TabularMDP,
+    collect_transitions,
     value_iteration,
 )
 
-from .oracles import oracle_finite_horizon_q
+from .oracles import ChoiceDrawEnv, oracle_finite_horizon_q
 
 
 @pytest.fixture
@@ -358,3 +359,79 @@ class TestDemoEpisodes:
             for turn in ep.turns:
                 if turn.strategy is not None:
                     assert catalog.stage_of(turn.strategy) is not Stage.NONE
+
+
+DRAW_CONFIGS = {
+    "default": {},
+    "horizon2": {"horizon": 2},
+    "match0": {"match_advance_prob": 0.0},
+    "match1": {"match_advance_prob": 1.0},
+    "mismatch_half": {"mismatch_advance_prob": 0.5},
+    "zero_weights": {"emotion_weights": (("anger", 0.0), ("fear", 3.0), ("sadness", 0.0), ("shame", 1.0))},
+    "judge": {"reward_source": "judge"},
+}
+DRAW_SEEDS = range(50)
+
+
+class TestDrawsEqualChoiceOracle:
+    """One uniform per draw gives the episodes `Generator.choice` gave."""
+
+    @staticmethod
+    def pair(name, seed, catalog):
+        config = StagedEnvConfig(seed=seed, **DRAW_CONFIGS[name])
+        return StagedEnv(config, catalog=catalog), ChoiceDrawEnv(config, catalog=catalog)
+
+    @pytest.mark.parametrize("name", DRAW_CONFIGS)
+    def test_reset_and_step(self, name, catalog):
+        for seed in DRAW_SEEDS:
+            env, oracle = self.pair(name, seed, catalog)
+            rng = np.random.default_rng(seed)
+            # seeded resets, then the environment's own stream
+            for reset_seed in (seed, 2**31 - 1 - seed, None, None):
+                state = env.reset(seed=reset_seed)
+                assert state == oracle.reset(seed=reset_seed)
+                assert env.latent == oracle.latent
+                done = False
+                while not done:
+                    action = int(rng.integers(1, len(catalog) + 1))
+                    state, reward, done = env.step(action)
+                    assert (state, reward, done) == oracle.step(action)
+                    assert env.latent == oracle.latent
+                    assert env.last_response == oracle.last_response
+                    assert env.state() is state
+                    assert env.done == oracle.done
+
+    @pytest.mark.parametrize("name", DRAW_CONFIGS)
+    def test_demo_episodes(self, name, catalog):
+        for seed in DRAW_SEEDS:
+            env, oracle = self.pair(name, seed, catalog)
+            assert env.demo_episodes(4, seed=seed) == oracle.demo_episodes(4, seed=seed)
+            assert env.demo_episodes(2, fidelity=1.0, seed=seed) == oracle.demo_episodes(2, fidelity=1.0, seed=seed)
+
+    @pytest.mark.parametrize("name", DRAW_CONFIGS)
+    def test_collect_transitions(self, name, catalog):
+        for seed in DRAW_SEEDS:
+            env, oracle = self.pair(name, seed, catalog)
+            got = collect_transitions(env, 4, seed=seed, with_latents=True)
+            assert got == collect_transitions(oracle, 4, seed=seed, with_latents=True)
+
+
+class TestConfigRejectsWhatChoiceRejected:
+    @pytest.mark.parametrize("field", ["match_advance_prob", "mismatch_advance_prob"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_advance_prob_outside_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StagedEnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_emotion_weight(self, bad):
+        with pytest.raises(ValueError, match="emotion weights"):
+            StagedEnvConfig(emotion_weights=(("anger", 3.0), ("fear", bad)))
+
+    def test_weights_without_finite_positive_mass(self):
+        for weights in ((("anger", 0.0),), (("anger", 1e308), ("fear", 1e308))):
+            with pytest.raises(ValueError, match="emotion weights"):
+                StagedEnvConfig(emotion_weights=weights)
+
+    def test_unit_interval_endpoints_accepted(self):
+        StagedEnvConfig(match_advance_prob=0.0, mismatch_advance_prob=1.0)

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import supportq
 from supportq.core import Transition, derive_transitions
 from supportq.encoding import render_judge_prompt
 from supportq.env import StagedEnv, StagedEnvConfig
@@ -275,3 +279,12 @@ class TestRemoteJudge:
         assert errors == []
         assert judge._cache_get("same prompt") in range(1, 6)
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_cli_import_leaves_urllib_to_the_remote_judge():
+    # only RemoteJudge talks HTTP; every other command should not pay for urllib
+    src = str(Path(supportq.__file__).resolve().parents[1])
+    env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, supportq.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_vars, check=True)
+    assert proc.stdout.strip() == "False"

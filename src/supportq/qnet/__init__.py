@@ -17,13 +17,11 @@ encoded path, which training runs: `encode` turns a state into a code once
 `loss_and_grads_encoded` work on rows of a table of distinct codes.
 """
 
-from .base import BackendMismatch
 from .checkpoint import load_scorer, save_scorer
 from .mlp import FeatureConfig, MlpConfig, MlpScorer, extract_features, feature_dim
 from .seq import SeqConfig, SeqScorer
 
 __all__ = [
-    "BackendMismatch",
     "FeatureConfig",
     "MlpConfig",
     "MlpScorer",

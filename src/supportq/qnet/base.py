@@ -24,10 +24,6 @@ import numpy as np
 ParamSpec = tuple[str, tuple[int, ...], Union[str, float]]
 
 
-class BackendMismatch(TypeError):
-    """Operation requires the other scorer backend."""
-
-
 def init_params(specs: list[ParamSpec], seed: int, dtype) -> dict[str, np.ndarray]:
     """Seeded weights, drawn in spec order; zero biases, unit gains."""
     rng = np.random.default_rng(seed)
@@ -124,9 +120,6 @@ class Scorer:
         if not np.isfinite(values).all():
             raise FloatingPointError("non-finite Q value")
         return values
-
-    def forward(self, tokens) -> np.ndarray:
-        raise BackendMismatch("token-level forward is only defined for the seq backend")
 
     def select_strategy(self, state, catalog, vocab=None) -> int:
         return argmax_smallest_id(self.q_all(state, catalog, vocab))

@@ -9,17 +9,43 @@ so the prompt is shared and Q(s, ·) comes from one pass over BOS + prompt +
 
 The transformer is written once, in numpy, and runs without a tape.  The
 last block, final layer norm, head and log-softmax run only on the two rows
-that predict the answer.  Given a `cache` list, the forward also keeps per
-block what the backward needs: the layer norms' normalised inputs and
-inverse standard deviations, h, q, k and v, the attention probabilities,
-the merged context, and the MLP pre-activation and its tanh.  `_backward`
-walks those blocks in reverse by hand, one small function per block, as
-llm.c's `gpt2_backward` does.  A state's code (`encode`) is BOS + its
-windowed prompt + " ".  `grad_q` and `loss_and_grads_encoded` make one
-cached pass and one backward per distinct code, and a state's activations
-are dropped before the next state's pass, so memory does not grow with the
-batch.  The gradients are checked against an autodiff-tape transformer and
-central finite differences in the test suite.
+that predict the answer.  Attention runs in row tiles of `_TILE` query rows
+(`_attend`): a tile scores only the keys up to its last row, so the masked
+half of the T x T score square is never computed, and only the tile's
+diagonal square is masked, from the one constant `_FUTURE`.  The last
+block's two query rows make one tile.
+
+Given a `cache` list, the forward also keeps per block what the backward
+needs: the layer norms' normalised inputs and inverse standard deviations,
+h, q, k and v, the attention probability tiles, the merged context, and the
+MLP pre-activation, its tanh and the GELU output.  `_backward` walks those
+blocks in reverse by hand, one small function per block, as llm.c's
+`gpt2_backward` does; `_attn_backward` walks the forward's tiles, so its
+four score-sized matmuls skip the masked half too.  A state's code
+(`encode`) is BOS + its windowed prompt + " ".  `grad_q` and
+`loss_and_grads_encoded` make one cached pass and one backward per distinct
+code, and a state's activations are dropped before the next state's pass,
+so memory does not grow with the batch.  The gradients are checked against
+an autodiff-tape transformer and central finite differences in the test
+suite.
+
+The workspace.  A pass's large arrays -- the packed score tiles, the MLP's
+pre-activation, tanh and GELU output, and the backward's score-gradient
+tile -- live in one grow-only `Workspace` in the config dtype, so a pass
+does not allocate (and fault in) fresh memory for them.  It is created with
+the scorer and shared by its `clone()` twins (training's online and target
+nets): every pass overwrites the previous one's arrays.  A cache therefore
+records the pass's stamp, `_backward` raises if another pass has run since,
+and a cache serves one backward, which builds the GELU slope in the MLP's
+buffers.  Twins must not run passes on two threads at once.
+
+The bit contract.  `q_all` equals `q_value` bit for bit.  Against the dense
+reference in the test suite (the full score square with the future half
+overwritten), `q_all` agrees to within 1e-12, not bit for bit: a tile's
+q·kᵀ can round differently from the full product's, and a shorter row sum
+adds in a different order.  A pass of at most `_TILE` rows is one tile and
+matches the reference bit for bit; the MLP's in-place buffers repeat the
+dense operations in the same order.
 """
 
 from __future__ import annotations
@@ -37,6 +63,8 @@ from .base import ParamSpec, Scorer
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _MASKED = -1e30  # written over future positions' scores; |score| << ulp(1e30)
+_TILE = 64  # query rows per attention tile
+_FUTURE = np.triu(np.ones((_TILE, _TILE), dtype=bool), k=1)  # a diagonal square's masked entries
 
 
 @dataclass(frozen=True)
@@ -71,6 +99,65 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 
     return xhat * gain + bias, xhat, inv
 
 
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """[lo, hi) of each row tile of `n` query rows."""
+    return [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, ws: "Workspace"):
+    """Causal softmax attention of the query rows `q` (heads, rows, dh), the
+    last rows of the sequence, over the keys `k` and values `v` of every row,
+    one row tile at a time: each tile meets only the keys up to its last row,
+    and only its diagonal square is masked.  Returns the probability tiles,
+    views into `ws`, and the context, shaped like `q`."""
+    n_heads, n, dh = q.shape
+    first = k.shape[1] - n  # sequence position of the first query row
+    tiles, ctx = [], np.empty_like(q)
+    for lo, hi in _tiles(n):
+        end, m = first + hi, hi - lo
+        att = ws.take(n_heads, m, end)
+        np.matmul(q[:, lo:hi], k[:, :end].swapaxes(1, 2), out=att)
+        att *= 1.0 / math.sqrt(dh)
+        np.copyto(att[:, :, first + lo :], _MASKED, where=_FUTURE[:m, :m])
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        np.matmul(att, v[:, :end], out=ctx[:, lo:hi])
+        tiles.append(att)
+    return tiles, ctx
+
+
+class Workspace:
+    """Grow-only buffer holding one pass's large arrays, and the count of the
+    passes that have written it.  `begin` starts a pass and returns its
+    stamp; `take` hands out the pass's next unused slice."""
+
+    def __init__(self, dtype):
+        self.buffer = np.empty(0, dtype=dtype)
+        self.passes = 0
+        self._used = 0
+
+    def begin(self, size: int) -> int:
+        if self.buffer.size < size:
+            self.buffer = np.empty(size, dtype=self.buffer.dtype)
+        self.passes += 1
+        self._used = 0
+        return self.passes
+
+    def take(self, *shape: int) -> np.ndarray:
+        n = math.prod(shape)
+        out = self.buffer[self._used : self._used + n].reshape(shape)
+        self._used += n
+        return out
+
+    def reclaim(self, stamp: int) -> None:
+        """End pass `stamp` for its backward, which overwrites its arrays;
+        raise if another pass has run since."""
+        if stamp != self.passes:
+            raise RuntimeError("another pass has reused the workspace since this cache was made")
+        self.passes += 1
+
+
 class SeqScorer(Scorer):
     backend = "seq"
     default_learning_rate = 5.0e-6
@@ -84,6 +171,7 @@ class SeqScorer(Scorer):
     ):
         super().__init__(config, seed, params)
         self.window = min(window, config.n_ctx)  # token budget of an encoded pair
+        self._workspace = Workspace(config.np_dtype)  # shared with clone() twins
 
     @property
     def dtype(self):
@@ -128,23 +216,35 @@ class SeqScorer(Scorer):
 
     # -- forward ------------------------------------------------------------
 
+    def _pass_size(self, t: int, n_rows: int, cached: bool) -> int:
+        """Workspace elements one pass over `t` tokens takes: per block the
+        score tiles and the MLP's three (rows, 4 d_model) arrays, and, for a
+        pass the backward follows, one score tile of scratch."""
+        cfg = self.config
+        size = 0
+        for i in range(cfg.n_layers):
+            n = n_rows if i == cfg.n_layers - 1 else t
+            size += sum(cfg.n_heads * (hi - lo) * (t - n + hi) for lo, hi in _tiles(n)) + 3 * n * 4 * cfg.d_model
+        return size + (cfg.n_heads * min(_TILE, t) * t if cached else 0)
+
     def _hidden(self, tokens: np.ndarray, params: dict, n_rows: int, cache: Optional[list] = None):
         """Final hidden rows, before ln_f, of the last `n_rows` positions of
         `tokens`; the last block computes queries, output projection and MLP
-        for those rows alone.  A `cache` list receives the tokens, then one
-        dict per block of the activations its backward reads."""
+        for those rows alone.  A `cache` list receives the tokens, the pass's
+        workspace stamp and the backward's scratch, then one dict per block
+        of the activations its backward reads."""
         cfg, t = self.config, len(tokens)
         if t > cfg.n_ctx:
             raise ValueError(f"sequence length {t} exceeds context size {cfg.n_ctx}")
         if tokens.max() >= cfg.vocab_size or tokens.min() < 0:
             raise ValueError("token id outside the vocabulary")
-        n_heads, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+        ws = self._workspace
+        stamp = ws.begin(self._pass_size(t, n_rows, cache is not None))
+        n_heads, dh, width = cfg.n_heads, cfg.d_model // cfg.n_heads, 4 * cfg.d_model
         split = lambda m: m.reshape(m.shape[0], n_heads, dh).swapaxes(0, 1)
-        pos = np.arange(t)
-        x = params["tok_emb"][tokens] + params["pos_emb"][pos]
-        future = pos[:, None] < pos
+        x = params["tok_emb"][tokens] + params["pos_emb"][:t]
         if cache is not None:
-            cache.append(tokens)
+            cache.append(dict(tokens=tokens, stamp=stamp, scratch=ws.take(n_heads * min(_TILE, t) * t)))
         for i in range(cfg.n_layers):
             p = lambda n: params[f"blocks.{i}.{n}"]
             h, xhat1, inv1 = _layer_norm(x, p("ln1.g"), p("ln1.b"))
@@ -152,25 +252,31 @@ class SeqScorer(Scorer):
             v = split(h @ p("attn.wv") + p("attn.bv"))
             rows = h
             if i == cfg.n_layers - 1:
-                last = np.arange(t - n_rows, t)
-                x, rows, future = x[last], h[last], future[last]
+                x, rows = x[t - n_rows :], h[t - n_rows :]
             q = split(rows @ p("attn.wq") + p("attn.bq"))
-            att = q @ k.swapaxes(1, 2)
-            att *= 1.0 / math.sqrt(dh)
-            np.copyto(att, _MASKED, where=future)
-            att -= att.max(axis=-1, keepdims=True)
-            np.exp(att, out=att)
-            att /= att.sum(axis=-1, keepdims=True)
-            ctx = (att @ v).swapaxes(0, 1).reshape(x.shape[0], cfg.d_model)
+            att, ctx = _attend(q, k, v, ws)
+            ctx = ctx.swapaxes(0, 1).reshape(x.shape[0], cfg.d_model)
             x = x + (ctx @ p("attn.wo") + p("attn.bo"))
             h2, xhat2, inv2 = _layer_norm(x, p("ln2.g"), p("ln2.b"))
-            pre = h2 @ p("mlp.w1") + p("mlp.b1")
-            th = np.tanh((pre + pre * pre * pre * 0.044715) * _GELU_C)
-            x = x + ((pre * (th + 1.0) * 0.5) @ p("mlp.w2") + p("mlp.b2"))
+            # gelu in the workspace, in the operation order of
+            # th = tanh((pre + pre * pre * pre * 0.044715) * C), gelu = pre * (th + 1) * 0.5
+            pre, th, gelu = (ws.take(x.shape[0], width) for _ in range(3))
+            np.matmul(h2, p("mlp.w1"), out=pre)
+            pre += p("mlp.b1")
+            np.multiply(pre, pre, out=th)
+            th *= pre
+            th *= 0.044715
+            th += pre
+            th *= _GELU_C
+            np.tanh(th, out=th)
+            np.add(th, 1.0, out=gelu)
+            gelu *= pre
+            gelu *= 0.5
+            x = x + (gelu @ p("mlp.w2") + p("mlp.b2"))
             if cache is not None:
                 cache.append(dict(
                     xhat1=xhat1, inv1=inv1, h=h, q=q, k=k, v=v, att=att, ctx=ctx,
-                    xhat2=xhat2, inv2=inv2, h2=h2, pre=pre, th=th,
+                    xhat2=xhat2, inv2=inv2, h2=h2, pre=pre, th=th, gelu=gelu,
                 ))
         return x
 
@@ -183,19 +289,6 @@ class SeqScorer(Scorer):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
         return logp, dict(xhat=xhat, inv=inv, xf=xf, logp=logp)
-
-    def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Per-position log-probabilities, shape (T, V).
-
-        Row i is the distribution over token i conditioned on tokens < i;
-        row 0, which has nothing to condition on, is the uniform -ln(V).
-        """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        logp, _ = self._head(self._hidden(tokens, self.params, len(tokens)))
-        out = np.empty((len(tokens), self.config.vocab_size), dtype=self.config.np_dtype)
-        out[0] = -math.log(self.config.vocab_size)
-        out[1:] = logp[:-1]
-        return out
 
     def encode(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
         """Token ids of BOS + the windowed prompt + " ", the space of every answer."""
@@ -217,16 +310,18 @@ class SeqScorer(Scorer):
 
     def _backward(self, cache: list, dq: np.ndarray, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Add the gradient of dq · Q(s, ·) into `grads`, from the `cache` of one
-        `_q` pass: head, then MLP and attention per block in reverse, then the
-        embeddings.  The last block flows back through its two rows; its keys
-        and values reach every row."""
-        tokens, *blocks, head = cache
+        `_q` pass, the workspace's last: head, then MLP and attention per block
+        in reverse, then the embeddings.  The last block flows back through its
+        two rows; its keys and values reach every row.  The cache serves one
+        backward."""
+        top, *blocks, head = cache
+        self._workspace.reclaim(top["stamp"])
         dx = self._head_backward(head, dq, grads)
         for i in reversed(range(len(blocks))):
             dx = self._mlp_backward(blocks[i], dx, grads, f"blocks.{i}")
-            dx = self._attn_backward(blocks[i], dx, grads, f"blocks.{i}")
-        np.add.at(grads["tok_emb"], tokens, dx)
-        grads["pos_emb"][: len(tokens)] += dx
+            dx = self._attn_backward(blocks[i], dx, grads, f"blocks.{i}", top["scratch"])
+        np.add.at(grads["tok_emb"], top["tokens"], dx)
+        grads["pos_emb"][: len(top["tokens"])] += dx
         return grads
 
     def _layer_norm_backward(self, dy, xhat, inv, grads: dict, name: str) -> np.ndarray:
@@ -251,42 +346,64 @@ class SeqScorer(Scorer):
         return self._layer_norm_backward(dxf, c["xhat"], c["inv"], grads, "ln_f")
 
     def _mlp_backward(self, c: dict, dx: np.ndarray, grads: dict, b: str) -> np.ndarray:
-        """Through x + gelu(ln2(x) @ w1 + b1) @ w2 + b2."""
+        """Through x + gelu(ln2(x) @ w1 + b1) @ w2 + b2.  The gelu slope is
+        built in the buffers of gelu, pre and th, which nothing reads again."""
         p = self.params
-        pre, th = c["pre"], c["th"]
-        grads[f"{b}.mlp.w2"] += (pre * (th + 1.0) * 0.5).T @ dx
+        pre, th, slope = c["pre"], c["th"], c["gelu"]
+        grads[f"{b}.mlp.w2"] += slope.T @ dx
         grads[f"{b}.mlp.b2"] += dx.sum(axis=0)
-        slope = (th + 1.0) * 0.5 + pre * (1.0 - th * th) * (0.5 * _GELU_C) * (1.0 + 3 * 0.044715 * pre * pre)
-        dpre = (dx @ p[f"{b}.mlp.w2"].T) * slope
+        # slope = (th + 1) / 2 + pre (1 - th²) C / 2 (1 + 3 · 0.044715 pre²)
+        np.multiply(pre, pre, out=slope)
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= pre
+        slope *= 0.5 * _GELU_C
+        np.multiply(th, th, out=pre)
+        np.subtract(1.0, pre, out=pre)
+        slope *= pre
+        th += 1.0
+        th *= 0.5
+        slope += th
+        dpre = dx @ p[f"{b}.mlp.w2"].T
+        dpre *= slope
         grads[f"{b}.mlp.w1"] += c["h2"].T @ dpre
         grads[f"{b}.mlp.b1"] += dpre.sum(axis=0)
         dh2 = dpre @ p[f"{b}.mlp.w1"].T
         return dx + self._layer_norm_backward(dh2, c["xhat2"], c["inv2"], grads, f"{b}.ln2")
 
-    def _attn_backward(self, c: dict, dx: np.ndarray, grads: dict, b: str) -> np.ndarray:
-        """Through x + attention(ln1(x)) @ wo + bo.  `dx` covers the block's
+    def _attn_backward(self, c: dict, dx: np.ndarray, grads: dict, b: str, scratch: np.ndarray) -> np.ndarray:
+        """Through x + attention(ln1(x)) @ wo + bo, over the forward's row
+        tiles: dk and dv gather each tile's keys, dq is written per tile, and
+        a tile's score gradient lives in `scratch`.  `dx` covers the block's
         query rows, the last rows of the sequence; the result covers every row."""
         p, (n_heads, n_rows, dh) = self.params, c["q"].shape
-        h, q, k, v, att = c["h"], c["q"], c["k"], c["v"], c["att"]
+        h, q, k, v = c["h"], c["q"], c["k"], c["v"]
         t, d = h.shape
+        first = t - n_rows
         split = lambda m: m.reshape(m.shape[0], n_heads, dh).swapaxes(0, 1)
         merge = lambda m: m.swapaxes(0, 1).reshape(m.shape[1], d)
         grads[f"{b}.attn.wo"] += c["ctx"].T @ dx
         grads[f"{b}.attn.bo"] += dx.sum(axis=0)
         dctx = split(dx @ p[f"{b}.attn.wo"].T)
-        dv = merge(att.swapaxes(1, 2) @ dctx)
-        dscores = dctx @ v.swapaxes(1, 2)  # dL/d att, then in place dL/d scores up to the 1/sqrt(dh)
-        dscores -= np.einsum("hrt,hrt->hr", dscores, att)[..., None]
-        dscores *= att
-        dq = merge(dscores @ k) * (1.0 / math.sqrt(dh))
-        dk = merge(dscores.swapaxes(1, 2) @ q) * (1.0 / math.sqrt(dh))
-        for name, rows, grad in (("q", h[t - n_rows :], dq), ("k", h, dk), ("v", h, dv)):
+        dq, dk, dv = np.empty_like(q), np.zeros_like(k), np.zeros_like(v)
+        for (lo, hi), att in zip(_tiles(n_rows), c["att"]):
+            end = first + hi
+            dv[:, :end] += att.swapaxes(1, 2) @ dctx[:, lo:hi]
+            dscores = scratch[: att.size].reshape(att.shape)  # dL/d att, then dL/d scores up to the 1/sqrt(dh)
+            np.matmul(dctx[:, lo:hi], v[:, :end].swapaxes(1, 2), out=dscores)
+            dscores -= np.einsum("hrt,hrt->hr", dscores, att)[..., None]
+            dscores *= att
+            np.matmul(dscores, k[:, :end], out=dq[:, lo:hi])
+            dk[:, :end] += dscores.swapaxes(1, 2) @ q[:, lo:hi]
+        scale = 1.0 / math.sqrt(dh)
+        dq, dk, dv = merge(dq) * scale, merge(dk) * scale, merge(dv)
+        for name, rows, grad in (("q", h[first:], dq), ("k", h, dk), ("v", h, dv)):
             grads[f"{b}.attn.w{name}"] += rows.T @ grad
             grads[f"{b}.attn.b{name}"] += grad.sum(axis=0)
         dnorm = dk @ p[f"{b}.attn.wk"].T + dv @ p[f"{b}.attn.wv"].T
-        dnorm[t - n_rows :] += dq @ p[f"{b}.attn.wq"].T
+        dnorm[first:] += dq @ p[f"{b}.attn.wq"].T
         dx_in = self._layer_norm_backward(dnorm, c["xhat1"], c["inv1"], grads, f"{b}.ln1")
-        dx_in[t - n_rows :] += dx
+        dx_in[first:] += dx
         return dx_in
 
     def _zero_grads(self) -> dict[str, np.ndarray]:

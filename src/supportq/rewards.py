@@ -58,7 +58,7 @@ class Judge(Protocol):
 
 def _hash_unit(*parts) -> float:
     """Deterministic value in [0, 1) from the content of `parts`."""
-    digest = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode("utf-8"), digest_size=8)
+    digest = hashlib.blake2b("\x1f".join(map(str, parts)).encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big") / 2.0**64
 
 
@@ -80,18 +80,25 @@ class SyntheticJudge:
     noise_prob: float = 0.1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # stage rank of each strategy id; a missing id raises KeyError, as catalog.by_id does
+        object.__setattr__(self, "_ranks", {s.id: s.stage.rank for s in self.catalog})
+
     def expected_stage(self, state: DialogueState) -> int:
-        supporter_turns = sum(1 for t in state.history if t.speaker is Speaker.SUPPORTER)
+        # speakers alternate (DialogueState checks it), so the count follows from the first speaker
+        history = state.history
+        opens = bool(history) and history[0].speaker is Speaker.SUPPORTER
+        supporter_turns = (len(history) + opens) // 2
         frac = min(supporter_turns / self.nominal_turns, 0.999)
         return 1 + min(2, int(3 * frac))
 
     def score(self, state: DialogueState, action: int, response: str) -> int:
-        rank = self.catalog.stage_of(action).rank
+        rank = self._ranks[action]
         value = 3
         if rank is not None and rank == self.expected_stage(state):
             value += 1
         prev = state.last_supporter_strategy()
-        prev_rank = None if prev is None else self.catalog.stage_of(prev).rank
+        prev_rank = None if prev is None else self._ranks[prev]
         if rank is not None and prev_rank is not None:
             if rank - prev_rank == 1:
                 value += 1

@@ -1,10 +1,13 @@
 """Independent brute-force oracles the library metrics are checked against.
 
 Everything here is written from the metric definitions with plain loops and
-dictionaries, deliberately sharing no code with supportq.metrics.  Two
-oracles check the `seq` scorer: `oracle_seq_q_all`, the slow path of its Q
-kernel (a full forward pass per action), and `tape_seq_q`, the transformer
-on the autodiff tape, whose gradients check the hand-written backward.
+dictionaries, deliberately sharing no code with supportq.metrics.  The
+`seq` scorer is checked against `dense_hidden`, its forward as it was before
+attention ran in row tiles (the full score square with the future half
+overwritten), `dense_forward` and `dense_seq_q` on top of it,
+`oracle_seq_q_all`, the slow path of its Q kernel (a full dense forward pass
+per action), and `tape_seq_q`, the transformer on the autodiff tape, whose
+gradients check the hand-written backward.
 `tape_mlp_q` does the same for the `mlp` scorer: its net on the tape over
 the (K, F) block of feature rows with each action's one-hot set, the form
 the scorer's split first layer computes without building the block.
@@ -14,6 +17,10 @@ text metrics: they re-tokenise and score every (hypothesis, reference) pair
 in input order, with the library's own operations in the library's order,
 so the library, which scores each distinct pair once, must equal them bit
 for bit.
+
+`rescan_judge_score` is the slow reference path of `SyntheticJudge.score`:
+it rescans the history for the supporter turns and asks the catalog for
+each stage on every call.
 
 `ChoiceDrawEnv` is the slow reference path of `StagedEnv`'s sampling: every
 random choice is a `Generator.choice` call, and every state is rebuilt from
@@ -33,7 +40,11 @@ import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Episode, Speaker, Turn
 from supportq.encoding import encode_answer, encode_pair
 from supportq.env import DESCRIPTION_TEMPLATE, EpisodeFinished, LatentState, StagedEnv, response_template
+from supportq.rewards import _hash_unit
 from supportq.qnet import extract_features
+from supportq.qnet.seq import _GELU_C as SEQ_GELU_C
+from supportq.qnet.seq import _MASKED as SEQ_MASKED
+from supportq.qnet.seq import _layer_norm as seq_layer_norm
 
 
 def words(text):
@@ -330,14 +341,80 @@ def oracle_finite_horizon_q(succ_idx, succ_p, rewards, gamma, horizon):
     return q
 
 
+def dense_hidden(scorer, tokens, n_rows, cache=None):
+    """The dense reference of `SeqScorer._hidden`: every block scores the
+    full T x T square at once and writes `_MASKED` over the future half.
+    Final hidden rows, before ln_f, of the last `n_rows` positions; a `cache`
+    list receives each block's activations, as the scorer once kept them."""
+    cfg, t = scorer.config, len(tokens)
+    if t > cfg.n_ctx:
+        raise ValueError(f"sequence length {t} exceeds context size {cfg.n_ctx}")
+    if tokens.max() >= cfg.vocab_size or tokens.min() < 0:
+        raise ValueError("token id outside the vocabulary")
+    params, n_heads, dh = scorer.params, cfg.n_heads, cfg.d_model // cfg.n_heads
+    split = lambda m: m.reshape(m.shape[0], n_heads, dh).swapaxes(0, 1)
+    pos = np.arange(t)
+    x = params["tok_emb"][tokens] + params["pos_emb"][pos]
+    future = pos[:, None] < pos
+    for i in range(cfg.n_layers):
+        p = lambda n: params[f"blocks.{i}.{n}"]
+        h, xhat1, inv1 = seq_layer_norm(x, p("ln1.g"), p("ln1.b"))
+        k = split(h @ p("attn.wk") + p("attn.bk"))
+        v = split(h @ p("attn.wv") + p("attn.bv"))
+        rows = h
+        if i == cfg.n_layers - 1:
+            last = np.arange(t - n_rows, t)
+            x, rows, future = x[last], h[last], future[last]
+        q = split(rows @ p("attn.wq") + p("attn.bq"))
+        att = q @ k.swapaxes(1, 2)
+        att *= 1.0 / math.sqrt(dh)
+        np.copyto(att, SEQ_MASKED, where=future)
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        ctx = (att @ v).swapaxes(0, 1).reshape(x.shape[0], cfg.d_model)
+        x = x + (ctx @ p("attn.wo") + p("attn.bo"))
+        h2, xhat2, inv2 = seq_layer_norm(x, p("ln2.g"), p("ln2.b"))
+        pre = h2 @ p("mlp.w1") + p("mlp.b1")
+        th = np.tanh((pre + pre * pre * pre * 0.044715) * SEQ_GELU_C)
+        x = x + ((pre * (th + 1.0) * 0.5) @ p("mlp.w2") + p("mlp.b2"))
+        if cache is not None:
+            cache.append(dict(
+                xhat1=xhat1, inv1=inv1, h=h, q=q, k=k, v=v, att=att, ctx=ctx,
+                xhat2=xhat2, inv2=inv2, h2=h2, pre=pre, th=th,
+            ))
+    return x
+
+
+def dense_forward(scorer, tokens):
+    """Per-position log-probabilities of a SeqScorer over `tokens`, shape
+    (T, V), from `dense_hidden` over every row.  Row i is the distribution
+    over token i conditioned on tokens < i; row 0, which has nothing to
+    condition on, is the uniform -ln(V)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    logp, _ = scorer._head(dense_hidden(scorer, tokens, len(tokens)))
+    out = np.empty((len(tokens), scorer.config.vocab_size), dtype=scorer.config.np_dtype)
+    out[0] = -math.log(scorer.config.vocab_size)
+    out[1:] = logp[:-1]
+    return out
+
+
+def dense_seq_q(scorer, tokens, catalog, vocab):
+    """Q(s, .) from one dense pass over the code `tokens` of s, as
+    `SeqScorer._q` computes it from the tiled pass."""
+    words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
+    logp, _ = scorer._head(dense_hidden(scorer, tokens, 2))
+    return (logp[0, tokens[-1]] + logp[1, words]) * 0.5
+
+
 def oracle_seq_q_all(scorer, state, catalog, vocab):
     """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer,
-    run one full forward pass over the whole sequence (`forward`), and average
-    the log-probabilities of the answer tokens."""
+    run one full dense forward pass over the whole sequence (`dense_forward`),
+    and average the log-probabilities of the answer tokens."""
     values = []
     for action in catalog.ids:
         pair = encode_pair(state, action, catalog, vocab, scorer.window)
-        rows = scorer.forward(pair.tokens)
+        rows = dense_forward(scorer, pair.tokens)
         start, end = pair.action_span
         values.append(sum(float(rows[i, pair.tokens[i]]) for i in range(start, end)) / (end - start))
     return values
@@ -432,6 +509,31 @@ def max_relative_error(grads, reference):
     assert set(grads) == set(reference)
     scale = max(float(np.abs(g).max()) for g in reference.values())
     return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale
+
+
+def rescan_judge_score(judge, state, action, response):
+    """`SyntheticJudge.score` by its definition: count the supporter turns
+    and look up both strategies' stages in the catalog on every call."""
+    supporter_turns = sum(1 for t in state.history if t.speaker is Speaker.SUPPORTER)
+    expected = 1 + min(2, int(3 * min(supporter_turns / judge.nominal_turns, 0.999)))
+    rank = judge.catalog.stage_of(action).rank
+    value = 3
+    if rank is not None and rank == expected:
+        value += 1
+    prev = state.last_supporter_strategy()
+    prev_rank = None if prev is None else judge.catalog.stage_of(prev).rank
+    if rank is not None and prev_rank is not None:
+        if rank - prev_rank == 1:
+            value += 1
+        elif prev_rank - rank >= 2:
+            value -= 1
+    u = _hash_unit(judge.seed, state.query, len(state.history), action, response)
+    if u < judge.noise_prob / 2:
+        value += 1
+    elif u < judge.noise_prob:
+        value -= 1
+    lo, hi = judge.scale
+    return max(lo, min(hi, value))
 
 
 class ChoiceDrawEnv(StagedEnv):

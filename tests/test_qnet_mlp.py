@@ -8,7 +8,6 @@ import pytest
 import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Speaker, Turn
 from supportq.qnet import (
-    BackendMismatch,
     FeatureConfig,
     MlpConfig,
     MlpScorer,
@@ -85,10 +84,6 @@ class TestFeatures:
 
 
 class TestScorer:
-    def test_forward_is_backend_mismatch(self, mlp_scorer):
-        with pytest.raises(BackendMismatch):
-            mlp_scorer.forward(np.array([1, 2, 3]))
-
     def test_q_all_matches_single_calls(self, mlp_scorer, tiny_state, catalog):
         qs = mlp_scorer.q_all(tiny_state, catalog)
         singles = [mlp_scorer.q_value(tiny_state, a, catalog) for a in catalog.ids]

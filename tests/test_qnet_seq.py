@@ -15,6 +15,9 @@ from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
 from .conftest import fd_gradient, rel_error
 from .oracles import (
     causal_mask,
+    dense_forward,
+    dense_hidden,
+    dense_seq_q,
     max_relative_error,
     oracle_seq_q_all,
     tape_grads,
@@ -98,15 +101,15 @@ class TestForward:
     def test_constant_logits_give_uniform(self, seq_scorer, small_vocab):
         scorer = zeroed(seq_scorer)
         tokens = np.array([2, 5, 300, 301, 7])
-        out = scorer.forward(tokens)
+        out = dense_forward(scorer, tokens)
         np.testing.assert_allclose(out, -math.log(small_vocab.size), atol=1e-12)
 
     def test_causality_ignores_future_tokens(self, seq_scorer):
         tokens = np.array([2, 10, 11, 12, 13, 14, 15])
         swapped = tokens.copy()
         swapped[4], swapped[6] = swapped[6], swapped[4]
-        a = seq_scorer.forward(tokens)
-        b = seq_scorer.forward(swapped)
+        a = dense_forward(seq_scorer, tokens)
+        b = dense_forward(seq_scorer, swapped)
         np.testing.assert_array_equal(a[:4], b[:4])
         assert not np.allclose(a[5:], b[5:])
 
@@ -114,17 +117,17 @@ class TestForward:
         cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_heads=2, n_layers=2, n_ctx=64)
         scorer = SeqScorer(cfg, seed=11)
         tokens = np.array([2, 4, 300, 12, 262, 30, 31, 9, 260, 5])
-        fast = scorer.forward(tokens)
+        fast = dense_forward(scorer, tokens)
         slow = loop_forward(scorer.params, tokens.tolist(), cfg)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_rows_are_normalized_distributions(self, seq_scorer):
-        out = seq_scorer.forward(np.array([2, 3, 4, 5]))
+        out = dense_forward(seq_scorer, np.array([2, 3, 4, 5]))
         np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-9)
 
-    def test_rejects_out_of_vocab_ids(self, seq_scorer, small_vocab):
+    def test_rejects_out_of_vocab_ids(self, seq_scorer, catalog, small_vocab):
         with pytest.raises(ValueError):
-            seq_scorer.forward(np.array([2, small_vocab.size]))
+            seq_scorer.q_encoded([np.array([2, small_vocab.size])], [0], catalog, small_vocab)
 
 
 class TestQValue:
@@ -136,10 +139,10 @@ class TestQValue:
             )
 
     def test_q_is_mean_of_span_logprobs(self, seq_scorer, bare_state, catalog, small_vocab):
-        # oracle: pull the realized-token log-probs out of forward() and average
+        # oracle: pull the realized-token log-probs out of the dense forward and average
         for action in catalog.ids:
             pair = encode_pair(bare_state, action, catalog, small_vocab)
-            rows = seq_scorer.forward(pair.tokens)
+            rows = dense_forward(seq_scorer, pair.tokens)
             start, end = pair.action_span
             expected = np.mean([rows[i, pair.tokens[i]] for i in range(start, end)])
             assert seq_scorer.q_value(bare_state, action, catalog, small_vocab) == pytest.approx(
@@ -457,3 +460,118 @@ def test_decisions_build_no_tape(request, fixture, tiny_state, catalog, small_vo
     monkeypatch.setattr(ad.Var, "__init__", no_tape)
     np.testing.assert_array_equal(scorer.q_all(tiny_state, catalog, small_vocab), expected)
     assert scorer.q_value(tiny_state, 3, catalog, small_vocab) == pytest.approx(expected[2], abs=1e-12)
+
+
+def random_code(length: int, vocab_size: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, vocab_size, length)
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowTiles:
+    """Attention in row tiles over the workspace against the dense full-square oracle."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 131, 600])
+    def test_matches_the_dense_oracle(self, length, n_layers, catalog, small_vocab):
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_layers=n_layers, n_ctx=1024)
+        scorer = SeqScorer(cfg, seed=5)
+        tokens = random_code(length, cfg.vocab_size, seed=length)
+        for n_rows in sorted({min(2, length), length}):
+            np.testing.assert_allclose(
+                scorer._hidden(tokens, scorer.params, n_rows),
+                dense_hidden(scorer, tokens, n_rows),
+                rtol=0,
+                atol=1e-12,
+            )
+        if length >= 2:
+            q = scorer.q_encoded([tokens], [0], catalog, small_vocab)[0]
+            np.testing.assert_allclose(q, dense_seq_q(scorer, tokens, catalog, small_vocab), rtol=0, atol=1e-12)
+
+    def test_one_tile_is_bit_identical_to_the_dense_oracle(self, small_vocab):
+        # a single tile scores every key of every row, in the dense operation order
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_layers=2, n_ctx=1024)
+        scorer = SeqScorer(cfg, seed=5)
+        tokens = random_code(64, cfg.vocab_size)
+        np.testing.assert_array_equal(scorer._hidden(tokens, scorer.params, 64), dense_hidden(scorer, tokens, 64))
+
+    def test_float32_stays_float32_and_matches_the_dense_oracle(self, catalog, small_vocab):
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_layers=2, n_ctx=1024, dtype="float32")
+        scorer = SeqScorer(cfg, seed=5)
+        tokens = random_code(600, cfg.vocab_size)
+        cache: list = []
+        q = scorer._q(tokens, catalog, small_vocab, cache)
+        assert q.dtype == np.float32
+        arrays = [a for entry in cache for a in entry.values() if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+        arrays += [a for block in cache[1:-1] for a in block["att"]]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert scorer._workspace.buffer.dtype == np.float32
+        np.testing.assert_allclose(q, dense_seq_q(scorer, tokens, catalog, small_vocab), rtol=0, atol=1e-5)
+
+    def test_gradients_match_the_tape_across_tiles(self, seq_scorer, catalog, small_vocab):
+        state = long_state("What should I do?")
+        state = dataclasses.replace(state, history=state.history[:8])
+        assert len(seq_scorer.encode(state, catalog, small_vocab)) > 3 * 64
+        pv = {n: ad.Var(a) for n, a in seq_scorer.params.items()}
+        tape = tape_grads(ad.take_rows(tape_seq_q(seq_scorer, state, catalog, small_vocab, pv), 4), pv)
+        assert max_relative_error(seq_scorer.grad_q(state, 5, catalog, small_vocab), tape) < 1e-12
+        items = [(state, 2, 0.5), (state, 7, -0.25)]
+        loss, grads = seq_scorer.loss_and_grads(items, catalog, small_vocab)
+        tape_loss, tape = tape_loss_grads(tape_seq_q, seq_scorer, items, catalog, small_vocab)
+        assert loss == pytest.approx(tape_loss, rel=1e-12)
+        assert max_relative_error(grads, tape) < 1e-12
+
+    def test_a_short_state_after_a_long_one_equals_a_fresh_scorer(self, seq_scorer, tiny_state, catalog, small_vocab):
+        items = [(tiny_state, 3, 0.5), (tiny_state, 1, -0.5)]
+        fresh = SeqScorer(seq_scorer.config, params=seq_scorer.params)
+        fresh_q = fresh.q_all(tiny_state, catalog, small_vocab)
+        fresh_loss, fresh_grads = fresh.loss_and_grads(items, catalog, small_vocab)
+        long = long_state("What should I do?")
+        seq_scorer.loss_and_grads([(long, 2, 0.1)], catalog, small_vocab)
+        seq_scorer.q_all(long, catalog, small_vocab)
+        np.testing.assert_array_equal(seq_scorer.q_all(tiny_state, catalog, small_vocab), fresh_q)
+        seq_scorer.q_all(long, catalog, small_vocab)
+        loss, grads = seq_scorer.loss_and_grads(items, catalog, small_vocab)
+        assert loss == fresh_loss
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], fresh_grads[name])
+
+    def test_clones_share_the_workspace(self, seq_scorer):
+        assert seq_scorer.clone()._workspace is seq_scorer._workspace
+
+    def test_a_pass_between_forward_and_backward_raises(self, seq_scorer, tiny_state, bare_state, catalog, small_vocab):
+        target = seq_scorer.clone()
+        cache: list = []
+        q = seq_scorer._q(seq_scorer.encode(tiny_state, catalog, small_vocab), catalog, small_vocab, cache)
+        target.q_all(bare_state, catalog, small_vocab)
+        with pytest.raises(RuntimeError):
+            seq_scorer._backward(cache, np.ones_like(q), seq_scorer._zero_grads())
+
+    def test_a_cache_serves_one_backward(self, seq_scorer, tiny_state, catalog, small_vocab):
+        cache: list = []
+        q = seq_scorer._q(seq_scorer.encode(tiny_state, catalog, small_vocab), catalog, small_vocab, cache)
+        seq_scorer._backward(cache, np.ones_like(q), seq_scorer._zero_grads())
+        with pytest.raises(RuntimeError):
+            seq_scorer._backward(cache, np.ones_like(q), seq_scorer._zero_grads())
+
+    def test_warm_training_pass_peaks_below_half_the_dense_forward(self, catalog, small_vocab):
+        # no fresh score square per pass: the tiles live in the workspace the first pass
+        # grew.  At d_model 16 the (T, d_model) activations are small beside a T x T square.
+        state = long_state("What should I do now?")
+        state = dataclasses.replace(state, history=state.history[:20])
+        cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_heads=2, n_layers=2, n_ctx=1024)
+        scorer = SeqScorer(cfg, seed=0, window=1024)
+        tokens = scorer.encode(state, catalog, small_vocab)
+        assert 550 <= len(tokens) <= 700
+        items = [(state, 2, 0.3), (state, 5, -0.4)]
+        scorer.loss_and_grads(items, catalog, small_vocab)
+        warm = peak_bytes(lambda: scorer.loss_and_grads(items, catalog, small_vocab))
+        dense = peak_bytes(lambda: dense_hidden(scorer, tokens, 2, cache=[]))
+        assert warm < 0.5 * dense

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import supportq
-from supportq.core import Transition, derive_transitions
+from supportq.core import DialogueState, Emotion, Speaker, Transition, Turn, derive_transitions
 from supportq.encoding import render_judge_prompt
-from supportq.env import StagedEnv, StagedEnvConfig
+from supportq.env import StagedEnv, StagedEnvConfig, collect_transitions
 from supportq.rewards import (
     CatalogTooSmall,
     JudgeFailure,
@@ -28,6 +28,8 @@ from supportq.rewards import (
     distill_rewards,
     imitation_rewards,
 )
+
+from .oracles import rescan_judge_score
 
 
 @pytest.fixture
@@ -152,6 +154,43 @@ class TestSyntheticJudge:
         assert np.median(scores) == 4
         assert set(scores.tolist()) <= {1, 2, 3, 4, 5}
         assert {1, 2, 3, 4, 5} <= set(scores.tolist())  # full support at N=1000
+
+    @pytest.mark.parametrize("reward_source", ["stage_match", "judge"])
+    def test_scores_equal_the_rescan_oracle_on_env_streams(self, catalog, reward_source):
+        for seed in range(20):
+            env = StagedEnv(StagedEnvConfig(seed=seed, reward_source=reward_source), catalog=catalog)
+            judge = SyntheticJudge(catalog=catalog, nominal_turns=env.config.horizon, seed=seed)
+            for tr in collect_transitions(env, 4, seed=seed):
+                score = judge.score(tr.state, tr.action, tr.response)
+                assert score == rescan_judge_score(judge, tr.state, tr.action, tr.response)
+                if reward_source == "judge":
+                    assert tr.reward == float(score)
+
+    def test_scores_equal_the_rescan_oracle_on_other_histories(self, catalog, dataset_transitions):
+        # histories that open with the supporter, and supporter turns without a strategy
+        def supporter_first(n):
+            return tuple(
+                Turn(Speaker.SUPPORTER, "ok", strategy=None if i % 3 else i % 8 + 1)
+                if i % 2 == 0
+                else Turn(Speaker.SEEKER, "hm")
+                for i in range(n)
+            )
+
+        histories = [supporter_first(n) for n in range(12)]
+        histories.append((Turn(Speaker.SEEKER, "a"), Turn(Speaker.SUPPORTER, "b", strategy=3), Turn(Speaker.SEEKER, "c")))
+        histories.append((Turn(Speaker.SEEKER, "a"), Turn(Speaker.SUPPORTER, "b")))
+        states = [DialogueState("d", Emotion("anxiety"), h, "q?") for h in histories]
+        states += [tr.state for tr in dataset_transitions]
+        for nominal in (3, 8):
+            judge = SyntheticJudge(catalog=catalog, nominal_turns=nominal, noise_prob=0.3, seed=1)
+            for state in states:
+                for action in catalog.ids:
+                    assert judge.score(state, action, "r") == rescan_judge_score(judge, state, action, "r")
+
+    @pytest.mark.parametrize("action", [0, 9])
+    def test_unknown_action_raises(self, catalog, bare_state, action):
+        with pytest.raises(KeyError):
+            SyntheticJudge(catalog=catalog).score(bare_state, action, "ok")
 
     def test_stage_structure_of_scores(self, catalog, bare_state):
         judge = SyntheticJudge(catalog=catalog, noise_prob=0.0, seed=0)

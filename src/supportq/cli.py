@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import StrategyCatalog, default_catalog, derive_transitions
+from .core import EmptyEpisode, StrategyCatalog, default_catalog, derive_transitions
 from .encoding import MIN_VOCAB_SIZE, Vocabulary, build_vocab, render_mcq
 from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, collect_transitions, response_template
 from .ingest import (
@@ -337,25 +338,16 @@ def _load_checkpoint(checkpoint: str):
 
 def _eval(cfg: RunConfig, out: Path, checkpoint: str) -> None:
     catalog, scorer, vocab = _load_checkpoint(checkpoint)
-    episodes = _test_episodes(cfg, catalog)
-    gold: list[int] = []
-    pred: list[int] = []
-    refs: list[str] = []
-    hyps: list[str] = []
-    sequences: list[list[int]] = []
-    for ep in episodes:
-        transitions = derive_transitions(ep)
-        seq: list[int] = []
-        for tr in transitions:
-            choice = scorer.select_strategy(tr.state, catalog, vocab)
-            pred.append(choice)
-            gold.append(tr.action)
-            refs.append(tr.response or "")
-            hyps.append(response_template(catalog.by_id(choice).name))
-            seq.append(choice)
-        sequences.append(seq)
-    if not gold:
+    episodes = [derive_transitions(ep) for ep in _test_episodes(cfg, catalog)]
+    transitions = [tr for trs in episodes for tr in trs]
+    if not transitions:
         raise EmptyInput("test set produced no evaluation samples")
+    pred = scorer.select_strategies([tr.state for tr in transitions], catalog, vocab)
+    gold = [tr.action for tr in transitions]
+    refs = [tr.response or "" for tr in transitions]
+    hyps = [response_template(catalog.by_id(choice).name) for choice in pred]
+    picks = iter(pred)
+    sequences = [list(itertools.islice(picks, len(trs))) for trs in episodes]
 
     k = len(catalog)
     strengths = bt_strengths(pred, gold, k)
@@ -592,7 +584,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, UnknownStrategy, UnknownEmotion, FileNotFoundError, EmptyInput, InsufficientData, LengthMismatch) as exc:
+    except (
+        ParseError,
+        UnknownStrategy,
+        UnknownEmotion,
+        EmptyEpisode,
+        FileNotFoundError,
+        EmptyInput,
+        InsufficientData,
+        LengthMismatch,
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary

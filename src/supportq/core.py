@@ -13,7 +13,7 @@ threads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -49,7 +49,7 @@ class MissingQuery(ValueError):
 
 
 class EmptyEpisode(ValueError):
-    """Episode has no supporter turn with a strategy annotation."""
+    """Episode has no annotated supporter turn that follows a seeker query."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,12 @@ class StrategyCatalog:
 
     Names are matched case-insensitively with whitespace normalization so
     dataset annotations like "reflection of feelings" resolve to the
-    canonical entry.
+    canonical entry.  A name or abbreviation that several strategies share
+    resolves to the first of them in catalog order.
     """
 
     strategies: tuple[Strategy, ...]
+    _by_name: dict[str, Strategy] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.strategies)
@@ -92,6 +94,11 @@ class StrategyCatalog:
             raise ValueError("strategy names must be unique")
         if sum(1 for s in self.strategies if s.stage is Stage.NONE) > 1:
             raise ValueError("at most one strategy may be unstaged")
+        by_name: dict[str, Strategy] = {}
+        for s in self.strategies:
+            by_name.setdefault(_normalize_name(s.name), s)
+            by_name.setdefault(_normalize_name(s.abbreviation), s)
+        object.__setattr__(self, "_by_name", by_name)
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -109,11 +116,10 @@ class StrategyCatalog:
         return self.strategies[sid - 1]
 
     def by_name(self, name: str) -> Strategy:
-        wanted = _normalize_name(name)
-        for s in self.strategies:
-            if _normalize_name(s.name) == wanted or _normalize_name(s.abbreviation) == wanted:
-                return s
-        raise KeyError(f"unknown strategy name: {name!r}")
+        try:
+            return self._by_name[_normalize_name(name)]
+        except KeyError:
+            raise KeyError(f"unknown strategy name: {name!r}") from None
 
     def stage_of(self, sid: int) -> Stage:
         return self.by_id(sid).stage
@@ -247,6 +253,45 @@ class Episode:
         return [i for i, t in enumerate(self.turns) if t.speaker is Speaker.SUPPORTER]
 
 
+def _decision_layout(episode: Episode) -> tuple[list[int], int]:
+    """Turn indices of the supporter turns, and of the first seeker turn
+    (len(turns) if there is none)."""
+    first_seeker = next(
+        (i for i, turn in enumerate(episode.turns) if turn.speaker is Speaker.SEEKER), len(episode.turns)
+    )
+    return episode.supporter_turn_indices(), first_seeker
+
+
+def _states_before(episode: Episode, positions: Sequence[int]) -> list[DialogueState]:
+    """The states observed before the supporter turns at turn indices
+    `positions`, ascending and each after the first seeker turn, from one
+    walk over the turns.
+
+    Turns alternate, so the seeker query is the turn right before each
+    position.  The emotion is the most recent seeker-annotated one up to the
+    query, falling back to the session-level label ("unknown" if neither
+    exists).
+    """
+    turns = episode.turns
+    emotion = episode.emotion if episode.emotion is not None else Emotion("unknown")
+    states: list[DialogueState] = []
+    seen = 0
+    for j in positions:
+        for turn in turns[seen:j]:
+            if turn.emotion is not None:  # only seeker turns carry one
+                emotion = turn.emotion
+        seen = j
+        states.append(
+            DialogueState(
+                description=episode.description,
+                emotion=emotion,
+                history=turns[: j - 1],
+                query=turns[j - 1].text,
+            )
+        )
+    return states
+
+
 def build_state(episode: Episode, t: int) -> DialogueState:
     """State observed before the t-th supporter turn (0-based among supporter turns).
 
@@ -255,29 +300,12 @@ def build_state(episode: Episode, t: int) -> DialogueState:
     emotion is the most recent seeker-annotated one, falling back to the
     session-level label ("unknown" if neither exists).
     """
-    sup = episode.supporter_turn_indices()
+    sup, first_seeker = _decision_layout(episode)
     if not 0 <= t < len(sup):
         raise IndexOutOfRange(f"supporter turn {t} out of range 0..{len(sup) - 1}")
-    j = sup[t]
-    q = None
-    for i in range(j - 1, -1, -1):
-        if episode.turns[i].speaker is Speaker.SEEKER:
-            q = i
-            break
-    if q is None:
+    if sup[t] < first_seeker:
         raise MissingQuery(f"no seeker utterance precedes supporter turn {t}")
-    emotion = episode.emotion
-    for i in range(q, -1, -1):
-        turn = episode.turns[i]
-        if turn.speaker is Speaker.SEEKER and turn.emotion is not None:
-            emotion = turn.emotion
-            break
-    return DialogueState(
-        description=episode.description,
-        emotion=emotion if emotion is not None else Emotion("unknown"),
-        history=episode.turns[:q],
-        query=episode.turns[q].text,
-    )
+    return _states_before(episode, [sup[t]])[0]
 
 
 def derive_transitions(episode: Episode) -> list[Transition]:
@@ -285,33 +313,25 @@ def derive_transitions(episode: Episode) -> list[Transition]:
 
     Supporter turns without a strategy annotation or without a preceding
     seeker query are skipped; consecutive annotated turns chain so that
-    transition i's next_state equals transition i+1's state, and the final
+    transition i's next_state is transition i+1's state, and the final
     one is terminal.
     """
-    sup = episode.supporter_turn_indices()
-    usable: list[int] = []
-    for t, j in enumerate(sup):
-        if episode.turns[j].strategy is None:
-            continue
-        if not any(turn.speaker is Speaker.SEEKER for turn in episode.turns[:j]):
-            continue
-        usable.append(t)
+    sup, first_seeker = _decision_layout(episode)
+    usable = [j for j in sup if j > first_seeker and episode.turns[j].strategy is not None]
     if not usable:
-        raise EmptyEpisode(f"episode {episode.session_id!r} has no annotated supporter turn")
-
-    states = {t: build_state(episode, t) for t in usable}
-    out: list[Transition] = []
-    for pos, t in enumerate(usable):
-        j = sup[t]
-        last = pos == len(usable) - 1
-        out.append(
-            Transition(
-                state=states[t],
-                action=episode.turns[j].strategy,  # type: ignore[arg-type]
-                reward=None,
-                next_state=None if last else states[usable[pos + 1]],
-                terminal=last,
-                response=episode.turns[j].text,
-            )
+        raise EmptyEpisode(
+            f"episode {episode.session_id!r}: no annotated supporter turn follows a seeker query"
         )
-    return out
+    states = _states_before(episode, usable)
+    last = len(usable) - 1
+    return [
+        Transition(
+            state=states[n],
+            action=episode.turns[j].strategy,  # type: ignore[arg-type]
+            reward=None,
+            next_state=None if n == last else states[n + 1],
+            terminal=n == last,
+            response=episode.turns[j].text,
+        )
+        for n, j in enumerate(usable)
+    ]

@@ -15,6 +15,8 @@ Both are written in numpy with a hand-written backward.  Each also has an
 encoded path, which training runs: `encode` turns a state into a code once
 (seq: token ids, mlp: the feature row), and `q_encoded` and
 `loss_and_grads_encoded` work on rows of a table of distinct codes.
+`select_strategies`, which eval runs, decides a list of states with one
+`q_encoded` call over their distinct codes.
 """
 
 from .checkpoint import load_scorer, save_scorer

@@ -7,7 +7,10 @@ the code of a state (mlp: its feature row, seq: its prompt's token ids), and
 the encoded path: `q_encoded`, Q(s, ·) for rows of a table of codes, and
 `loss_and_grads_encoded`, the squared TD error of (row, action, target)
 items with its gradient, differentiated by hand.  `encode_states` builds that
-table.  `q_value`, `q_all`, `grad_q` and `loss_and_grads` take states; they
+table.  `select_strategies` decides a list of states on the encoded path:
+one `q_encoded` call over their distinct codes, the smallest-id argmax of
+each row, mapped back to the states; eval decides its test set this way.
+`q_value`, `q_all`, `grad_q` and `loss_and_grads` take states; they
 stay per class, where perfbench's tracer wraps them, and run `encode`, then
 the forward and backward that the encoded path runs.
 """
@@ -43,11 +46,14 @@ def argmax_smallest_id(values: np.ndarray) -> int:
     return int(np.argmax(values)) + 1
 
 
-def encode_states(scorer, states, catalog, vocab) -> tuple[list[np.ndarray], np.ndarray]:
+def encode_states(scorer, states, catalog, vocab) -> tuple[Union[list[np.ndarray], np.ndarray], np.ndarray]:
     """The distinct codes of `states` and each state's row among them.
 
     Each state object is encoded once; states whose codes are equal, byte for
-    byte, share one row.
+    byte, share one row.  Codes of one shape (mlp's feature rows always,
+    seq's token ids when every prompt has one length) come back stacked into
+    one array, so a batch of rows is `table[rows]`; otherwise the table is a
+    list, indexed one row at a time.
     """
     table: list[np.ndarray] = []
     by_value: dict[bytes, int] = {}
@@ -61,6 +67,8 @@ def encode_states(scorer, states, catalog, vocab) -> tuple[list[np.ndarray], np.
             if row == len(table):
                 table.append(code)
         rows[n] = row
+    if table and all(code.shape == table[0].shape for code in table):
+        return np.stack(table), rows
     return table, rows
 
 
@@ -123,3 +131,12 @@ class Scorer:
 
     def select_strategy(self, state, catalog, vocab=None) -> int:
         return argmax_smallest_id(self.q_all(state, catalog, vocab))
+
+    def select_strategies(self, states, catalog, vocab=None) -> list[int]:
+        """`select_strategy` of every state, from one `q_encoded` call over
+        the distinct codes of `states`."""
+        if not states:
+            return []
+        table, rows = encode_states(self, states, catalog, vocab)
+        q = self.q_encoded(table, np.arange(len(table)), catalog, vocab)
+        return (np.argmax(q, axis=1) + 1)[rows].tolist()  # the first maximum: ties go to the smallest id

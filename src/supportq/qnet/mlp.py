@@ -141,7 +141,7 @@ class MlpScorer(Scorer):
 
     def q_encoded(self, table, rows, catalog: StrategyCatalog, vocab=None) -> np.ndarray:
         """(len(rows), K) Q values of the codes `table[rows]`, from one pass."""
-        return self._finite(self._forward(np.stack([table[r] for r in rows]))[1])
+        return self._finite(self._forward(table[rows])[1])
 
     def q_value(self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab=None) -> float:
         catalog.by_id(action)
@@ -162,7 +162,7 @@ class MlpScorer(Scorer):
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean squared TD error of the items (table[row], action, target) and
         its gradient, from one forward and one backward over the (B, F) rows."""
-        feats = np.stack([table[r] for r in rows])
+        feats = table[rows]
         acts, q = self._forward(feats, actions)
         diff = q[:, 0] - targets
         grads = self._backward(feats, actions, acts, (diff * (2.0 / len(diff)))[:, None])

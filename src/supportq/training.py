@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def sync_target(scorer, target) -> None:
 class EncodedTransitions:
     """Transitions as rows of a table of distinct state codes."""
 
-    table: list  # the distinct codes, one per value
+    table: Union[list, np.ndarray]  # the distinct codes, one per value, from `encode_states`
     state: np.ndarray  # (n,) row of each state
     next: np.ndarray  # (n,) row of each next state; -1 where the target is the reward alone
     action: np.ndarray  # (n,) strategy ids

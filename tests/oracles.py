@@ -22,6 +22,12 @@ for bit.
 it rescans the history for the supporter turns and asks the catalog for
 each stage on every call.
 
+`rescan_build_state` is `build_state` as it was before transitions were
+derived in one walk over an episode: it rescans the turns for the supporter
+turns, the seeker query and the emotion on every call.
+`per_state_eval_predictions` is eval's decision loop as it was before eval
+decided its test set in one batch: one `select_strategy` call per state.
+
 `ChoiceDrawEnv` is the slow reference path of `StagedEnv`'s sampling: every
 random choice is a `Generator.choice` call, and every state is rebuilt from
 a history list, so the environment, which draws one uniform through a CDF
@@ -37,7 +43,7 @@ from collections import Counter
 import numpy as np
 
 import supportq.autodiff as ad
-from supportq.core import DialogueState, Emotion, Episode, Speaker, Turn
+from supportq.core import DialogueState, Emotion, Episode, Speaker, Turn, derive_transitions
 from supportq.encoding import encode_answer, encode_pair
 from supportq.env import DESCRIPTION_TEMPLATE, EpisodeFinished, LatentState, StagedEnv, response_template
 from supportq.rewards import _hash_unit
@@ -534,6 +540,32 @@ def rescan_judge_score(judge, state, action, response):
         value -= 1
     lo, hi = judge.scale
     return max(lo, min(hi, value))
+
+
+def rescan_build_state(episode, t):
+    """The state before the t-th supporter turn, by rescanning the turns."""
+    sup = [i for i, turn in enumerate(episode.turns) if turn.speaker is Speaker.SUPPORTER]
+    j = sup[t]
+    q = max(i for i in range(j) if episode.turns[i].speaker is Speaker.SEEKER)
+    emotion = episode.emotion
+    for i in range(q, -1, -1):
+        turn = episode.turns[i]
+        if turn.speaker is Speaker.SEEKER and turn.emotion is not None:
+            emotion = turn.emotion
+            break
+    return DialogueState(
+        description=episode.description,
+        emotion=emotion if emotion is not None else Emotion("unknown"),
+        history=episode.turns[:q],
+        query=episode.turns[q].text,
+    )
+
+
+def per_state_eval_predictions(scorer, episodes, catalog, vocab):
+    """Eval's predictions, one `select_strategy` call per derived state."""
+    return [
+        scorer.select_strategy(tr.state, catalog, vocab) for ep in episodes for tr in derive_transitions(ep)
+    ]
 
 
 class ChoiceDrawEnv(StagedEnv):

@@ -13,10 +13,15 @@ import pytest
 
 import supportq
 from supportq.cli import ConfigError, RunConfig, load_run_config, main
+from supportq.core import derive_transitions
+from supportq.encoding import Vocabulary
 from supportq.env import StagedEnv, StagedEnvConfig, value_iteration
-from supportq.ingest import save_episodes
+from supportq.ingest import load_esconv, save_episodes
+from supportq.metrics import confusion_matrix
 from supportq.qnet import load_scorer
 from supportq.training import TrainerConfig
+
+from .oracles import per_state_eval_predictions
 
 
 def sha(path):
@@ -24,6 +29,17 @@ def sha(path):
 
 
 TINY = ["--demo-episodes", "30", "--epochs", "1", "--eval-episodes", "15", "--seed", "5"]
+
+
+# an annotated supporter greeting that no seeker query precedes, then the seeker
+GREETING_FIRST = {
+    "session_id": "a",
+    "situation": "s",
+    "dialog": [
+        {"speaker": "supporter", "content": "Hello, how are you?", "annotation": {"strategy": "Question"}},
+        {"speaker": "seeker", "content": "Not great."},
+    ],
+}
 
 
 def train(out, extra=()):
@@ -166,6 +182,14 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(corpus) in manifest["inputs"]
 
+    def test_dataset_episode_without_a_decision_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([GREETING_FIRST, {**GREETING_FIRST, "session_id": "b"}]))
+        rc = main(["train", "--mode", "dataset", "--dataset-path", str(corpus),
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        assert "no annotated supporter turn follows a seeker query" in capsys.readouterr().err
+
     def test_identical_seeds_identical_checkpoints(self, tmp_path):
         a = train(tmp_path / "a")
         b = train(tmp_path / "b")
@@ -228,6 +252,34 @@ class TestEvalCommand:
         for s, row in enumerate(rows):
             if sum(confusion[s]) == 0 and int(row["support"]) > 0:  # never predicted
                 assert float(row["acc"]) == 0.0
+
+    def test_confusion_equals_the_per_state_predictions(self, tmp_path, catalog):
+        out = tmp_path / "run"
+        # a budget at which the greedy policy picks several strategies
+        ckpt = train(out, ["--demo-episodes", "100", "--epochs", "4", "--learning-rate", "0.01"])
+        testset = tmp_path / "test.json"
+        env = StagedEnv(StagedEnvConfig(seed=2), catalog=catalog)
+        save_episodes(testset, env.demo_episodes(12, seed=3), catalog)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--testset", str(testset), "--out-dir", str(out)])
+        assert rc == 0
+        episodes = load_esconv(testset, catalog=catalog)
+        scorer, _ = load_scorer(ckpt)
+        pred = per_state_eval_predictions(scorer, episodes, catalog, Vocabulary.load(out / "vocab.txt"))
+        assert len(set(pred)) > 1
+        gold = [tr.action for ep in episodes for tr in derive_transitions(ep)]
+        with open(out / "confusion.csv", newline="") as fh:
+            written = [[int(x) for x in row[1:]] for row in list(csv.reader(fh))[1:]]
+        assert written == confusion_matrix(pred, gold, len(catalog)).tolist()
+
+    def test_episode_without_a_decision_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        ckpt = train(out)
+        testset = tmp_path / "test.json"
+        testset.write_text(json.dumps([GREETING_FIRST]))
+        rc = main(["eval", "--checkpoint", str(ckpt), "--testset", str(testset), "--out-dir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: episode 'a': no annotated supporter turn follows a seeker query" in err
 
     def test_checkpoint_mismatch_detected(self, tmp_path):
         out = tmp_path / "run"

@@ -22,6 +22,8 @@ from supportq.core import (
     derive_transitions,
 )
 
+from .oracles import rescan_build_state
+
 
 def seeker(text, emotion=None):
     return Turn(Speaker.SEEKER, text, emotion=emotion)
@@ -49,6 +51,28 @@ class TestCatalog:
         assert catalog.by_id(8).stage is Stage.NONE
         assert catalog.by_name("reflection of feelings").id == 3
         assert catalog.by_name("  RESTATEMENT   or paraphrasing ").id == 2
+
+    def test_by_name_resolves_every_name_and_abbreviation_in_odd_case_and_spacing(self, catalog):
+        for s in catalog:
+            for text in (s.name, s.abbreviation):
+                assert catalog.by_name(" \t" + "   ".join(text.swapcase().split()) + " \n") is s
+
+    def test_by_name_prefers_the_earlier_strategy(self):
+        catalog = StrategyCatalog(
+            (
+                Strategy(1, "Question", "Reflection", Stage.I),
+                Strategy(2, "Reflection", "Ref.", Stage.II),
+                Strategy(3, "Information", "Question", Stage.III),
+            )
+        )
+        assert catalog.by_name("reflection").id == 1  # an abbreviation before a later name
+        assert catalog.by_name("question").id == 1  # a name before a later abbreviation
+        assert catalog.by_name("ref.").id == 2
+
+    def test_by_name_rejects_unknown_names(self, catalog):
+        for name in ("Questions", "Que", "Restatement", ""):
+            with pytest.raises(KeyError, match="unknown strategy name"):
+                catalog.by_name(name)
 
     def test_rejects_bad_catalogs(self):
         q = Strategy(1, "Question", "Que.", Stage.I)
@@ -235,6 +259,53 @@ class TestDeriveTransitions:
             # the addressed exchange and everything after it stay out of history
             assert f"q{t}" not in [x.text for x in state.history]
             assert all(f"r{j}" not in [x.text for x in state.history] for j in range(t, n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_states_equal_build_state_and_chain_by_identity(self, data):
+        n = data.draw(st.integers(1, 14), label="turns")
+        seeker_first = data.draw(st.booleans(), label="seeker_first")
+        emotions = data.draw(st.sampled_from(["first seeker turn", "any seeker turn"]), label="emotions")
+        session = data.draw(st.one_of(st.none(), st.just(Emotion("sadness"))), label="session emotion")
+        turns, seekers = [], 0
+        for i in range(n):
+            if (i % 2 == 0) == seeker_first:
+                if emotions == "first seeker turn":
+                    emotion = Emotion("fear", 2) if seekers == 0 else None
+                else:
+                    labels = st.sampled_from([Emotion("fear"), Emotion("anger", 4)])
+                    emotion = data.draw(st.one_of(st.none(), labels))
+                turns.append(seeker(f"q{i}", emotion=emotion))
+                seekers += 1
+            else:
+                turns.append(supporter(f"r{i}", strategy=data.draw(st.one_of(st.none(), st.integers(1, 8)))))
+        episode = Episode("d", tuple(turns), session_id="p", emotion=session)
+
+        sup = [i for i, turn in enumerate(turns) if turn.speaker is Speaker.SUPPORTER]
+        usable = [
+            t
+            for t, j in enumerate(sup)
+            if turns[j].strategy is not None and any(x.speaker is Speaker.SEEKER for x in turns[:j])
+        ]
+        if not usable:
+            with pytest.raises(EmptyEpisode, match="no annotated supporter turn follows a seeker query"):
+                derive_transitions(episode)
+            return
+        transitions = derive_transitions(episode)
+        assert len(transitions) == len(usable)
+        for n, (tr, t) in enumerate(zip(transitions, usable)):
+            assert tr.state == build_state(episode, t) == rescan_build_state(episode, t)
+            assert tr.action == turns[sup[t]].strategy
+            assert tr.response == turns[sup[t]].text
+            if n + 1 < len(transitions):
+                assert tr.next_state is transitions[n + 1].state
+            else:
+                assert tr.terminal and tr.next_state is None
+
+    def test_annotated_turns_before_any_seeker_turn_leave_the_episode_empty(self):
+        episode = Episode("d", (supporter("hello", strategy=1), seeker("q0")), session_id="a")
+        with pytest.raises(EmptyEpisode, match="'a': no annotated supporter turn follows a seeker query"):
+            derive_transitions(episode)
 
 
 def test_default_catalog_stage_ranks():

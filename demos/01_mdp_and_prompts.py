@@ -55,6 +55,6 @@ print("-" * 72)
 vocab = build_vocab([prompt], max_size=1024)
 pair = encode_pair(state, action=3, catalog=catalog, vocab=vocab)
 start, end = pair.action_span
-print(f"\nEncoded to {len(pair.tokens)} tokens; the answer span {pair.action_span} "
-      f"decodes to {vocab.decode(pair.tokens[start:end])!r}")
+print(f"\nEncoded to {len(pair.tokens)} tokens; the answer ' (3)' is the one token at "
+      f"{pair.action_span}, the word {vocab.decode(pair.tokens[start:end])!r}, which carries its space")
 assert vocab.decode(vocab.encode(prompt)) == prompt

@@ -1,7 +1,7 @@
 """Q values from a causal sequence scorer.
 
-Q(s, a) is the mean log-probability the model assigns to the appended answer
-tokens " (a)".  Untrained values hover near -ln(vocabulary size); training
+Q(s, a) is the log-probability the model assigns to the appended answer
+" (a)", one token.  Untrained values hover near -ln(vocabulary size); training
 pulls the right answers up.  The demo also shows two structural facts: adding
 a constant to every output logit changes nothing, and the argmax choice is
 invariant under any strictly increasing transform.

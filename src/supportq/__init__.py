@@ -1,8 +1,8 @@
 """supportq: Q-learning strategy planning for emotional-support conversations.
 
 A trainable scorer reads a dialogue state rendered as a multi-choice
-instruction and treats the averaged log-probability of the appended answer
-tokens as Q(s, a); a DQN loop with replay sampling and a target network fits
+instruction and treats the log-probability of the appended answer, one
+token, as Q(s, a); a DQN loop with replay sampling and a target network fits
 it to Bellman targets under imitation or judge-distilled rewards.  A staged
 synthetic environment with an exact dynamic-programming oracle makes the
 whole pipeline verifiable end to end.

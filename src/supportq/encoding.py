@@ -2,16 +2,20 @@
 
 The planner never sees raw dialogue objects: a state is rendered into a
 fixed instruction text that enumerates the K strategies as numbered options,
-and the chosen option " (k)" is appended as the answer whose token span the
-scorer averages over.
+and the chosen option " (k)" is appended as the answer whose token the
+scorer reads.
 
 The tokenizer is a frequency-ranked word vocabulary with a byte-level
 fallback, so encoding is total (no OOV failures) and decode(encode(x)) == x
-for any input string.  `build_vocab` always reserves the answer words
-`(1)` .. `(8)`, so every answer " (k)" is the same two tokens, a space byte
-and one word, and the prompt (with its history truncation) is the same for
-every action.  Rendering and encoding are pure functions; identical inputs
-produce byte-identical outputs.
+for any input string.  A word token carries the single space before it, as
+GPT-2's byte-level BPE does with its `Ġ` prefix: a lone " " between a
+non-space segment and a word in the table is not encoded, and `decode` puts
+it back before a word that follows non-whitespace text.  `build_vocab`
+always reserves the answer words `(1)` .. `(8)`, and the prompt ends in
+"is:", so every answer " (k)" is the one token `(k)`, and the prompt (with
+its history truncation) is the same for every action.  Rendering and
+encoding are pure functions; identical inputs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ NUM_BYTE_TOKENS = 256
 WORD_ID_BASE = NUM_SPECIALS + NUM_BYTE_TOKENS  # 259
 ANSWER_WORDS = tuple(f"({s.id})" for s in default_catalog())  # one word per default answer
 MIN_VOCAB_SIZE = WORD_ID_BASE + len(ANSWER_WORDS)  # specials, byte tokens, answer words
+TOKENIZATION = "word-carries-space"  # a word token absorbs the single space before it
 
 _SEGMENT_RE = re.compile(r"\S+|\s+")
 
@@ -106,7 +111,10 @@ class Vocabulary:
 
     Word ids are dense starting at WORD_ID_BASE; any segment not in the word
     table (including whitespace runs) is encoded as its UTF-8 bytes, which
-    makes encode total and decode an exact inverse.
+    makes encode total.  A word absorbs a single space between it and the
+    non-space segment before it; decode restores that space before a word
+    whenever the text so far ends in non-whitespace, which makes it an exact
+    inverse, because `re`'s whitespace class and `str.isspace` agree.
     """
 
     def __init__(self, words: Sequence[str]):
@@ -128,10 +136,15 @@ class Vocabulary:
 
     def encode(self, text: str) -> list[int]:
         ids: list[int] = []
-        for seg in _SEGMENT_RE.findall(text):
-            wid = self._word_to_id.get(seg)
+        table = self._word_to_id
+        segments = _SEGMENT_RE.findall(text)
+        last = len(segments) - 1
+        for n, seg in enumerate(segments):
+            wid = table.get(seg)
             if wid is not None:
                 ids.append(wid)
+            elif seg == " " and 0 < n < last and segments[n + 1] in table:
+                continue  # absorbed by the word after it; segments alternate, so a non-space precedes it
             else:
                 ids.extend(NUM_SPECIALS + b for b in seg.encode("utf-8"))
         return ids
@@ -150,6 +163,8 @@ class Vocabulary:
                 pending.append(i - NUM_SPECIALS)
             elif i >= WORD_ID_BASE:
                 flush()
+                if parts and not parts[-1][-1].isspace():
+                    parts.append(" ")  # the space the word absorbed
                 parts.append(self._words[i - WORD_ID_BASE])
             else:
                 flush()  # specials render as nothing
@@ -190,10 +205,11 @@ def build_vocab(corpus: Sequence[str], max_size: int = 4096) -> Vocabulary:
 
 
 def encode_answer(action: int, catalog: StrategyCatalog, vocab: Vocabulary) -> list[int]:
-    """Token ids of the answer " (k)": a space byte, then the word `(k)`."""
+    """Token ids of the answer " (k)" after the prompt: the one word `(k)`,
+    which absorbs the space, since the prompt ends in a non-space."""
     catalog.by_id(action)  # validates the id
-    ids = vocab.encode(f" ({action})")
-    if len(ids) != 2:
+    ids = vocab.encode(f"({action})")
+    if len(ids) != 1:
         raise ValueError(f"answer word ({action}) is not in the vocabulary")
     return ids
 
@@ -203,7 +219,7 @@ class EncodedPair:
     """Token ids for instruction + appended answer, with the answer span.
 
     `action_span` is the half-open [start, end) range covering exactly the
-    two tokens of the answer text " (k)" at the sequence tail.
+    one token of the answer text " (k)", the word `(k)`, at the sequence tail.
     """
 
     tokens: np.ndarray
@@ -222,7 +238,7 @@ def encode_pair(
     Description, query, the option list and the answer are never truncated;
     only leading history turns are removed, one at a time, until the full
     sequence (including the BOS prefix) fits in `window` tokens.  Every
-    answer has two tokens, so the kept prompt does not depend on `action`.
+    answer is one token, so the kept prompt does not depend on `action`.
     """
     answer_ids = encode_answer(action, catalog, vocab)
     for drop in range(len(state.history) + 1):

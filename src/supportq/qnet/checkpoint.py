@@ -2,7 +2,10 @@
 
 Arrays are stored bit-exactly, so a save/load round-trip reproduces Q values
 down to the last bit, and identical training runs produce byte-identical
-checkpoint files.
+checkpoint files.  A seq header also names the tokenization its weights
+were trained on (`encoding.TOKENIZATION`), because the same vocabulary
+encodes a prompt differently under another one; a seq checkpoint that
+names none, or another, is rejected.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import json
 from typing import Optional
 
 import numpy as np
+
+from ..encoding import TOKENIZATION
 
 FORMAT_VERSION = 2
 _META_KEY = "__meta__"
@@ -29,6 +34,7 @@ def save_scorer(path, scorer, extra: Optional[dict] = None) -> None:
     }
     if scorer.backend == "seq":
         meta["window"] = scorer.window
+        meta["tokenization"] = TOKENIZATION
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **{_META_KEY: blob}, **scorer.params)
 
@@ -48,6 +54,10 @@ def load_scorer(path):
 
     cfg = dict(meta["config"])
     if meta["backend"] == "seq":
+        tokenization = meta.get("tokenization")
+        if tokenization != TOKENIZATION:
+            trained = "an older tokenization" if tokenization is None else f"tokenization {tokenization!r}"
+            raise CheckpointError(f"seq checkpoint was trained with {trained}, not {TOKENIZATION!r}; retrain it")
         scorer = SeqScorer(SeqConfig(**cfg), params=params, window=meta["window"])
     elif meta["backend"] == "mlp":
         fc = dict(cfg.pop("features"))

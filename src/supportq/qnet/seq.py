@@ -1,19 +1,20 @@
 """Causal-transformer Q-scorer.
 
 The state is rendered into the multi-choice instruction, the candidate
-answer " (k)" is appended, and Q(s, a) is the mean log-probability the model
-assigns to the answer tokens at their predicting positions.  Every answer is
-the same two tokens, a space and the answer word `(k)` (see `build_vocab`),
-so the prompt is shared and Q(s, ·) comes from one pass over BOS + prompt +
-" ": its last row predicts each answer word, the row before it the space.
+answer " (k)" is appended, and Q(s, a) is the log-probability the model
+assigns to the answer at its predicting position.  Every answer is the one
+token `(k)`, a reserved word that carries the space before it (see
+`build_vocab` and `Vocabulary.encode`), so the prompt is shared and Q(s, ·)
+is log p(`(k)` | BOS + prompt), read off the last row of one pass over
+BOS + prompt.
 
 The transformer is written once, in numpy, and runs without a tape.  The
-last block, final layer norm, head and log-softmax run only on the two rows
-that predict the answer.  Attention runs in row tiles of `_TILE` query rows
+last block, final layer norm, head and log-softmax run only on the one row
+that predicts the answer.  Attention runs in row tiles of `_TILE` query rows
 (`_attend`): a tile scores only the keys up to its last row, so the masked
 half of the T x T score square is never computed, and only the tile's
 diagonal square is masked, from the one constant `_FUTURE`.  The last
-block's two query rows make one tile.
+block's one query row makes one tile.
 
 Given a `cache` list, the forward also keeps per block what the backward
 needs: the layer norms' normalised inputs and inverse standard deviations,
@@ -22,7 +23,7 @@ MLP pre-activation, its tanh and the GELU output.  `_backward` walks those
 blocks in reverse by hand, one small function per block, as llm.c's
 `gpt2_backward` does; `_attn_backward` walks the forward's tiles, so its
 four score-sized matmuls skip the masked half too.  A state's code
-(`encode`) is BOS + its windowed prompt + " ".  `grad_q` and
+(`encode`) is BOS + its windowed prompt.  `grad_q` and
 `loss_and_grads_encoded` make one cached pass and one backward per distinct
 code, and a state's activations are dropped before the next state's pass,
 so memory does not grow with the batch.  The gradients are checked against
@@ -291,20 +292,18 @@ class SeqScorer(Scorer):
         return logp, dict(xhat=xhat, inv=inv, xf=xf, logp=logp)
 
     def encode(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        """Token ids of BOS + the windowed prompt + " ", the space of every answer."""
+        """Token ids of BOS + the windowed prompt, which every answer follows."""
         return encode_pair(state, catalog.ids[0], catalog, vocab, self.window).tokens[:-1]
 
     def _q(self, tokens: np.ndarray, catalog: StrategyCatalog, vocab: Vocabulary, cache: Optional[list] = None):
-        """Q(s, ·) from one pass over the code `tokens` of s: the mean of the
-        log-probabilities of the space, its last token, and of each answer
-        word.  A `cache` list receives what `_backward` reads, the head's
-        entry last."""
-        space = tokens[-1]
-        words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
-        logp, head = self._head(self._hidden(tokens, self.params, 2, cache))
+        """Q(s, ·) from one pass over the code `tokens` of s: the
+        log-probability of each answer word at the last row.  A `cache` list
+        receives what `_backward` reads, the head's entry last."""
+        words = np.array([encode_answer(a, catalog, vocab)[0] for a in catalog.ids])
+        logp, head = self._head(self._hidden(tokens, self.params, 1, cache))
         if cache is not None:
-            cache.append(dict(head, space=space, words=words))
-        return (logp[0, space] + logp[1, words]) * 0.5
+            cache.append(dict(head, words=words))
+        return logp[0, words]
 
     # -- backward -------------------------------------------------------------
 
@@ -312,7 +311,7 @@ class SeqScorer(Scorer):
         """Add the gradient of dq · Q(s, ·) into `grads`, from the `cache` of one
         `_q` pass, the workspace's last: head, then MLP and attention per block
         in reverse, then the embeddings.  The last block flows back through its
-        two rows; its keys and values reach every row.  The cache serves one
+        one row; its keys and values reach every row.  The cache serves one
         backward."""
         top, *blocks, head = cache
         self._workspace.reclaim(top["stamp"])
@@ -337,8 +336,7 @@ class SeqScorer(Scorer):
     def _head_backward(self, c: dict, dq: np.ndarray, grads: dict) -> np.ndarray:
         """Through the answer picks, log-softmax, head and ln_f: dL/d hidden."""
         dlogp = np.zeros_like(c["logp"])
-        dlogp[0, c["space"]] = dq.sum() * 0.5
-        dlogp[1, c["words"]] += dq * 0.5
+        dlogp[0, c["words"]] += dq
         dlogits = dlogp - np.exp(c["logp"]) * dlogp.sum(axis=-1, keepdims=True)
         grads["head.w"] += c["xf"].T @ dlogits
         grads["head.b"] += dlogits.sum(axis=0)

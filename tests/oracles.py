@@ -408,21 +408,22 @@ def dense_forward(scorer, tokens):
 def dense_seq_q(scorer, tokens, catalog, vocab):
     """Q(s, .) from one dense pass over the code `tokens` of s, as
     `SeqScorer._q` computes it from the tiled pass."""
-    words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
-    logp, _ = scorer._head(dense_hidden(scorer, tokens, 2))
-    return (logp[0, tokens[-1]] + logp[1, words]) * 0.5
+    words = np.array([encode_answer(a, catalog, vocab)[0] for a in catalog.ids])
+    logp, _ = scorer._head(dense_hidden(scorer, tokens, 1))
+    return logp[0, words]
 
 
 def oracle_seq_q_all(scorer, state, catalog, vocab):
     """K-pass Q(s, .) of a SeqScorer: for each action, encode prompt + answer,
     run one full dense forward pass over the whole sequence (`dense_forward`),
-    and average the log-probabilities of the answer tokens."""
+    and read the log-probability of the one answer token."""
     values = []
     for action in catalog.ids:
         pair = encode_pair(state, action, catalog, vocab, scorer.window)
         rows = dense_forward(scorer, pair.tokens)
         start, end = pair.action_span
-        values.append(sum(float(rows[i, pair.tokens[i]]) for i in range(start, end)) / (end - start))
+        assert end - start == 1
+        values.append(float(rows[start, pair.tokens[start]]))
     return values
 
 
@@ -434,9 +435,9 @@ def causal_mask(t, dtype):
 
 def tape_seq_q(scorer, state, catalog, vocab, pv):
     """Q(s, .) of a SeqScorer as a `Var` on the autodiff tape over the
-    parameter `Var`s `pv`: one pass over BOS + prompt + " " with the additive
-    causal mask, the last block, ln_f, head and log-softmax on the two rows
-    that predict the answer.  `ad.backward` on it gives the reference
+    parameter `Var`s `pv`: one pass over BOS + prompt with the additive
+    causal mask, the last block, ln_f, head and log-softmax on the one row
+    that predicts the answer.  `ad.backward` on it gives the reference
     gradients."""
     cfg = scorer.config
     pair = encode_pair(state, catalog.ids[0], catalog, vocab, scorer.window)
@@ -451,7 +452,7 @@ def tape_seq_q(scorer, state, catalog, vocab, pv):
         k = split(h @ p("attn.wk") + p("attn.bk"))
         v = split(h @ p("attn.wv") + p("attn.bv"))
         if i == cfg.n_layers - 1:
-            last = np.arange(t - 2, t)
+            last = np.arange(t - 1, t)
             x, h, mask = ad.take_rows(x, last), ad.take_rows(h, last), mask[last]
         q = split(h @ p("attn.wq") + p("attn.bq"))
         scores = q @ ad.swapaxes(k, 1, 2) * (1.0 / math.sqrt(dh)) + mask
@@ -461,10 +462,8 @@ def tape_seq_q(scorer, state, catalog, vocab, pv):
         x = x + (ad.gelu(h2 @ p("mlp.w1") + p("mlp.b1")) @ p("mlp.w2") + p("mlp.b2"))
     x = ad.layer_norm(x, pv["ln_f.g"], pv["ln_f.b"])
     logp = ad.log_softmax(x @ pv["head.w"] + pv["head.b"], axis=-1)
-    k = len(catalog)
-    words = np.array([encode_answer(a, catalog, vocab)[1] for a in catalog.ids])
-    space = ad.take_pairs(logp, np.zeros(k, dtype=int), np.full(k, pair.tokens[pair.action_span[0]]))
-    return (space + ad.take_pairs(logp, np.ones(k, dtype=int), words)) * 0.5
+    words = np.array([encode_answer(a, catalog, vocab)[0] for a in catalog.ids])
+    return ad.take_pairs(logp, np.zeros(len(catalog), dtype=int), words)
 
 
 def feature_block(state, catalog, fc):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from supportq.qnet import load_scorer, save_scorer
+from supportq.encoding import TOKENIZATION
 from supportq.qnet.checkpoint import FORMAT_VERSION, CheckpointError
 
 
@@ -54,6 +55,26 @@ def test_window_only_in_seq_header(saved):
     _, _, meta = saved
     assert ("window" in meta) == (meta["backend"] == "seq")
     assert ("dtype" in meta["config"]) == (meta["backend"] == "seq")
+
+
+def test_tokenization_only_in_seq_header(saved):
+    _, _, meta = saved
+    assert meta.get("tokenization") == (TOKENIZATION if meta["backend"] == "seq" else None)
+
+
+@pytest.mark.parametrize("tokenization", [None, "space-byte"])
+def test_seq_checkpoint_of_another_tokenization_rejected(tmp_path, seq_scorer, tokenization):
+    path = tmp_path / "ckpt.npz"
+    save_scorer(path, seq_scorer)
+    with np.load(path) as data:
+        arrays = {n: data[n] for n in data.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    del meta["tokenization"]
+    if tokenization is not None:
+        meta["tokenization"] = tokenization
+    _write(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=f"not '{TOKENIZATION}'; retrain it"):
+        load_scorer(path)
 
 
 def test_unknown_backend_rejected(saved):

@@ -9,16 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import supportq
 from supportq.cli import ConfigError, RunConfig, load_run_config, main
 from supportq.core import derive_transitions
-from supportq.encoding import Vocabulary
+from supportq.encoding import Vocabulary, build_vocab
 from supportq.env import StagedEnv, StagedEnvConfig, value_iteration
 from supportq.ingest import load_esconv, save_episodes
 from supportq.metrics import confusion_matrix
-from supportq.qnet import load_scorer
+from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
 from supportq.training import TrainerConfig
 
 from .oracles import per_state_eval_predictions
@@ -296,6 +297,36 @@ class TestEvalCommand:
                        "--out-dir", str(out), *TINY])
             assert rc == 0
         assert sha(out_a / "report.json") == sha(out_b / "report.json")
+
+
+def old_seq_checkpoint(out, catalog):
+    """A seq checkpoint and its vocabulary whose header names no
+    tokenization, as seq checkpoints were written before words carried the
+    space before them."""
+    out.mkdir()
+    vocab = build_vocab(["I feel stuck."], 300)
+    scorer = SeqScorer(SeqConfig(vocab_size=vocab.size, d_model=16, n_ctx=512), seed=0)
+    ckpt = out / "checkpoint.npz"
+    save_scorer(ckpt, scorer, extra={"vocab_sha256": vocab.content_hash(), "catalog_sha256": catalog.content_hash()})
+    vocab.save(out / "vocab.txt")
+    with np.load(ckpt) as data:
+        arrays = {n: data[n] for n in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    del meta["tokenization"]
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    np.savez(ckpt, **arrays)
+    return ckpt
+
+
+@pytest.mark.parametrize("command", [["eval"], ["simulate", "--episodes", "5"]])
+def test_old_seq_checkpoint_exits_4_and_says_retrain(tmp_path, capsys, catalog, command):
+    out = tmp_path / "run"
+    ckpt = old_seq_checkpoint(out, catalog)
+    rc = main([*command, "--mode", "env", "--checkpoint", str(ckpt), "--out-dir", str(out), *TINY])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "seq checkpoint was trained with an older tokenization" in err
+    assert "retrain it" in err
 
 
 class TestSweepCommand:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from supportq.core import DialogueState, Emotion, Speaker, Stage, Strategy, StrategyCatalog, Turn
 from supportq.encoding import (
+    ANSWER_WORDS,
     BOS_ID,
+    NUM_SPECIALS,
     WORD_ID_BASE,
     ContextOverflow,
     EmptyCorpus,
@@ -70,6 +74,18 @@ class TestRenderMcq:
         assert "single integer number from 1 to 5" in text
 
 
+# text pieces: table words, single spaces, longer and Unicode whitespace runs,
+# and out-of-vocabulary words (a table word's prefix or extension among them)
+_PIECES = st.one_of(
+    st.sampled_from(["alpha", "beta", "is:", "(3)", "(8)"]),
+    st.sampled_from([" ", " ", "  ", "\t", "\n", " \n ", "\x1c", "\x85", "\xa0", "\u3000", " \xa0"]),
+    st.sampled_from(["alph", "alphas", "(9)", "ünï", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+        lambda w: not any(c.isspace() for c in w)
+    ),
+)
+
+
 class TestVocabulary:
     def test_frequency_then_lexicographic_rank(self):
         vocab = build_vocab(["a a b"], 600)
@@ -110,6 +126,23 @@ class TestVocabulary:
         vocab = build_vocab(["some corpus words"], 300)
         assert vocab.decode(vocab.encode(text)) == text
 
+    def test_regex_whitespace_is_str_isspace(self):
+        # encode splits on `\s`, decode asks `str.isspace`: the round trip needs them equal
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every_char) == [c for c in every_char if c.isspace()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_PIECES, max_size=30).map("".join))
+    def test_a_word_carries_the_space_before_it(self, text):
+        vocab = build_vocab(["alpha beta is:"], 300)
+        ids = vocab.encode(text)
+        assert vocab.decode(ids) == text
+        space = NUM_SPECIALS + ord(" ")
+        for i in range(len(ids) - 1):
+            if ids[i] == space and ids[i + 1] >= WORD_ID_BASE:
+                before = vocab.decode(ids[:i])  # a space byte never splits a UTF-8 character
+                assert before == "" or before[-1].isspace()
+
     def test_save_load_round_trip(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma alpha"], 300)
         vocab.save(tmp_path / "vocab.txt")
@@ -122,15 +155,16 @@ class TestEncodePair:
     def test_answer_text_and_span(self, bare_state, catalog, small_vocab):
         pair = encode_pair(bare_state, 3, catalog, small_vocab)
         start, end = pair.action_span
-        assert small_vocab.decode(pair.tokens[start:end]) == " (3)"
+        assert small_vocab.decode(pair.tokens) == render_mcq(bare_state, catalog) + " (3)"
+        assert small_vocab.decode(pair.tokens[start:end]) == "(3)"
+        assert end - start == 1
         assert end == len(pair.tokens)
         assert pair.tokens[0] == BOS_ID
 
     def test_default_window_no_truncation(self, tiny_state, catalog, small_vocab):
         pair = encode_pair(tiny_state, 1, catalog, small_vocab, window=2048)
-        full_prompt = render_mcq(tiny_state, catalog)
-        expected = 1 + len(small_vocab.encode(full_prompt)) + len(small_vocab.encode(" (1)"))
-        assert len(pair.tokens) == expected
+        full_text = render_mcq(tiny_state, catalog) + " (1)"
+        assert pair.tokens.tolist() == [BOS_ID] + small_vocab.encode(full_text)
 
     def _long_state(self, n_turns=50):
         turns = []
@@ -148,8 +182,7 @@ class TestEncodePair:
         # oracle: find the same suffix by re-tokenizing progressively truncated renders
         for drop in range(len(state.history) + 1):
             candidate = dataclasses.replace(state, history=state.history[drop:])
-            ids = small_vocab.encode(render_mcq(candidate, catalog))
-            total = 1 + len(ids) + len(small_vocab.encode(" (2)"))
+            total = 1 + len(small_vocab.encode(render_mcq(candidate, catalog) + " (2)"))
             if total <= window:
                 assert len(pair.tokens) == total
                 break
@@ -177,20 +210,19 @@ class TestEncodePair:
 
 
 class TestAnswerWords:
-    """Every answer " (k)" of the default catalog is a space byte and one word."""
+    """Every answer " (k)" of the default catalog is one reserved word, which
+    carries the space after the prompt's last non-space."""
 
     @pytest.mark.parametrize("source", ["one_word_floor", "conftest"])
-    def test_every_answer_is_space_then_one_word(self, source, bare_state, catalog, small_vocab):
+    def test_every_answer_is_one_reserved_word(self, source, bare_state, catalog, small_vocab):
         vocab = build_vocab(["hello"], WORD_ID_BASE + 8) if source == "one_word_floor" else small_vocab
-        space = vocab.encode(" ")
-        assert len(space) == 1
         for action in catalog.ids:
             pair = encode_pair(bare_state, action, catalog, vocab)
             start, end = pair.action_span
             answer = pair.tokens[start:end].tolist()
-            assert answer[0] == space[0]
-            assert len(answer) == 2 and answer[1] >= WORD_ID_BASE
-            assert vocab.decode(answer[1:]) == f"({action})"
+            assert len(answer) == 1 and answer[0] >= WORD_ID_BASE
+            assert vocab.words[answer[0] - WORD_ID_BASE] == f"({action})" == ANSWER_WORDS[action - 1]
+            assert vocab.decode(pair.tokens).endswith(f"is: ({action})")
 
     def test_max_size_below_answer_floor_errors(self):
         build_vocab(["a"], WORD_ID_BASE + 8)

@@ -188,6 +188,20 @@ class TestRoundTrip:
         for a, b in zip(loaded, reloaded):
             assert derive_transitions(a) == derive_transitions(b)
 
+    def test_saved_bytes_are_the_streaming_encoders(self, tmp_path, catalog):
+        # the file is `json.dump`'s indented, non-ASCII-escaping output, byte for byte
+        env = StagedEnv(StagedEnvConfig(seed=4), catalog=catalog)
+        session = {**SESSION, "situation": "Ich fühle mich — 不安\n\"gefangen\""}
+        episodes = env.demo_episodes(4, seed=2) + load_esconv(write(tmp_path, [session]))
+        path = tmp_path / "saved.json"
+        save_episodes(path, episodes, catalog)
+        sessions = json.loads(path.read_text(encoding="utf-8"))
+        assert sessions[-1]["situation"] == session["situation"]
+        streamed = tmp_path / "streamed.json"
+        with open(streamed, "w", encoding="utf-8") as fh:
+            json.dump(sessions, fh, ensure_ascii=False, indent=1)
+        assert path.read_bytes() == streamed.read_bytes()
+
     def test_resolved_ids_map_back_to_names(self, tmp_path, catalog):
         [episode] = load_esconv(write(tmp_path, [SESSION]))
         for turn in episode.turns:

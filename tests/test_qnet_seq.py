@@ -273,12 +273,12 @@ class TestSharedPromptKernel:
 
     def test_window_boundary_drops_the_same_history(self, seq_scorer, tiny_state, catalog, small_vocab):
         # one token short of the full-history sequence: every action must drop
-        # the same turns, because every answer " (k)" is two tokens
+        # the same turns, because every answer " (k)" is one token
         full = encode_pair(tiny_state, 1, catalog, small_vocab)
         window = len(full.tokens) - 1
         scorer = SeqScorer(seq_scorer.config, params=seq_scorer.params, window=window)
         pairs = [encode_pair(tiny_state, a, catalog, small_vocab, window) for a in catalog.ids]
-        prompts = {p.tokens[: p.action_span[0] + 1].tobytes() for p in pairs}
+        prompts = {p.tokens[: p.action_span[0]].tobytes() for p in pairs}
         assert len(prompts) == 1
         assert pairs[0].action_span[0] < full.action_span[0]
         qs = scorer.q_all(tiny_state, catalog, small_vocab)
@@ -565,7 +565,7 @@ class TestRowTiles:
         # no fresh score square per pass: the tiles live in the workspace the first pass
         # grew.  At d_model 16 the (T, d_model) activations are small beside a T x T square.
         state = long_state("What should I do now?")
-        state = dataclasses.replace(state, history=state.history[:20])
+        state = dataclasses.replace(state, history=state.history[:30])
         cfg = SeqConfig(vocab_size=small_vocab.size, d_model=16, n_heads=2, n_layers=2, n_ctx=1024)
         scorer = SeqScorer(cfg, seed=0, window=1024)
         tokens = scorer.encode(state, catalog, small_vocab)

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .core import EmptyEpisode, StrategyCatalog, default_catalog, derive_transitions
 from .encoding import MIN_VOCAB_SIZE, Vocabulary, build_vocab, render_mcq
-from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, collect_transitions, response_template
+from .env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, collect_transitions, response_template, rollouts
 from .ingest import (
     ParseError,
     UnknownEmotion,
@@ -442,46 +442,39 @@ def _simulate(cfg: RunConfig, out: Path, checkpoint: str, n_episodes: int) -> No
     if n_episodes <= 0:
         raise EmptyInput("simulate needs at least one episode")
     catalog, scorer, vocab = _load_checkpoint(checkpoint)
-    judge = SyntheticJudge(catalog=catalog, nominal_turns=cfg.env_horizon, seed=cfg.seed)
+    env = StagedEnv(dataclasses.replace(_env_config(cfg), reward_source="judge"), catalog=catalog)
+    model_q: list[float] = []
 
-    def run(policy_name: str, policy) -> dict:
-        env = _make_env(cfg, catalog)
-        rng = np.random.default_rng(cfg.seed + 17)
+    def greedy(state, rng) -> int:
+        qs = scorer.q_all(state, catalog, vocab)
+        action = int(np.argmax(qs)) + 1
+        model_q.append(float(qs[action - 1]))
+        return action
+
+    def run(policy_name: str, policy) -> tuple[dict, np.ndarray]:
         sequences: list[list[int]] = []
         rewards: list[list[float]] = []
-        model_q: list[float] = []
-        for _ in range(n_episodes):
-            state = env.reset(seed=int(rng.integers(2**31)))
-            done = False
-            actions: list[int] = []
-            scores: list[float] = []
-            while not done:
-                if policy is None:
-                    action = int(rng.integers(1, len(catalog) + 1))
-                else:
-                    qs = scorer.q_all(state, catalog, vocab)
-                    action = int(np.argmax(qs)) + 1
-                    model_q.append(float(qs[action - 1]))
-                response = response_template(catalog.by_id(action).name)
-                scores.append(float(judge.score(state, action, response)))
-                state, _, done = env.step(action)
-                actions.append(action)
-            sequences.append(actions)
-            rewards.append(scores)
+        actions: list[int] = []
+        scores: list[float] = []
+        for _, _, action, reward, _, done, _ in rollouts(env, n_episodes, policy, seed=cfg.seed + 17):
+            actions.append(action)
+            scores.append(reward)
+            if done:
+                sequences.append(actions)
+                rewards.append(scores)
+                actions, scores = [], []
         avg_r, avg_v = avg_reward_value(rewards, cfg.gamma)
         matrix = transition_matrix(sequences, len(catalog))
-        row = {
+        return {
             "policy": policy_name,
             "episodes": n_episodes,
             "avg_reward": avg_r,
             "avg_value": avg_v,
             "stage_upper_mass": stage_upper_mass(matrix, catalog),
-        }
-        if model_q:
-            row["mean_model_q"] = float(np.mean(model_q))
-        return row, matrix
+        }, matrix
 
-    greedy_row, greedy_matrix = run("greedy", scorer)
+    greedy_row, greedy_matrix = run("greedy", greedy)
+    greedy_row["mean_model_q"] = float(np.mean(model_q))
     random_row, _ = run("random", None)
     _write_json(out / "simulate.json", {"rows": [greedy_row, random_row], "gamma": cfg.gamma})
     write_matrix_csv(out / "transition.csv", greedy_matrix, catalog)

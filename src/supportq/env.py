@@ -15,6 +15,12 @@ builds on every call.  The streams, and so every episode, are those
 `Generator.choice` would give; only its per-call checks and rebuilding are
 skipped, and `StagedEnvConfig` rejects at construction what they rejected.
 
+Rollouts: `rollouts(env, n_episodes, policy, seed)` is the one episode loop;
+`collect_transitions`, `demo_episodes` and the CLI's `simulate` run on it.
+One generator per call seeds every episode's `reset` and picks every action,
+uniformly by default or as `policy(state, rng)`, so a policy that draws
+randomness draws from the same stream.
+
 Reward design: an action whose stage matches the seeker's current stage pays
 +1 scaled by a per-strategy effectiveness (the lowest-id strategy of each
 stage is the most effective), a regression to an earlier stage pays -1, and
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -183,12 +189,6 @@ class StagedEnv:
 
     # -- helpers --------------------------------------------------------------
 
-    def effectiveness(self, action: int) -> float:
-        return self._effectiveness[action]
-
-    def _action_stage(self, action: int) -> Optional[int]:
-        return self._rank[action]
-
     def _query_text(self, latent: LatentState) -> str:
         pool = STAGE_QUERIES[latent.stage]
         return pool[latent.progress % len(pool)]
@@ -212,7 +212,7 @@ class StagedEnv:
     # -- dynamics -------------------------------------------------------------
 
     def _stage_match_reward(self, latent: LatentState, action: int) -> float:
-        rank = self._action_stage(action)
+        rank = self._rank[action]
         if rank == latent.stage:
             return 1.0 * self._effectiveness[action]
         if rank is not None and rank < latent.stage:
@@ -226,8 +226,8 @@ class StagedEnv:
 
     def _successors(self, latent: LatentState, action: int) -> list[tuple[LatentState, float]]:
         """Successor latents with probabilities (terminal steps return [])."""
-        rank = self._action_stage(action)
-        last_slot = rank if rank is not None else 4
+        rank = self._rank[action]
+        last_slot = self._last_slot(action)
         next_progress = latent.progress + 1
         if next_progress >= self.config.horizon:
             return []
@@ -300,7 +300,7 @@ class StagedEnv:
         return self._state, reward, self._done
 
     def _last_slot(self, action: int) -> int:
-        rank = self._action_stage(action)
+        rank = self._rank[action]
         return rank if rank is not None else 4
 
     # -- oracle-facing views ----------------------------------------------------
@@ -381,80 +381,73 @@ class StagedEnv:
         among all strategies -- mimicking how real annotations track the stage
         theory only approximately.
         """
-        rng = np.random.default_rng(seed)
         by_stage: dict[int, list[int]] = {1: [], 2: [], 3: []}
         for s in self.catalog:
             if s.stage.rank is not None:
                 by_stage[s.stage.rank].append(s.id)
-        episodes = []
-        for i in range(n):
-            state = self.reset(seed=int(rng.integers(2**31)))
-            turns: list[Turn] = []
-            emotion = state.emotion
-            description = state.description
-            done = False
-            first = True
-            while not done:
-                stage = self.latent.stage
-                if rng.random() < fidelity:
-                    pool = by_stage[stage]  # rng.choice(pool) is this one integers draw
-                    action = pool[int(rng.integers(0, len(pool)))]
-                else:
-                    action = int(rng.integers(1, len(self.catalog) + 1))
-                turns.append(
-                    Turn(Speaker.SEEKER, state.query, emotion=emotion if first else None)
-                )
-                first = False
-                state, _, done = self.step(action)
-                turns.append(
-                    Turn(Speaker.SUPPORTER, self.last_response or "", strategy=action)
-                )
-            episodes.append(
-                Episode(
-                    description=description,
-                    turns=tuple(turns),
-                    session_id=f"demo-{i:05d}",
-                    emotion=emotion,
-                )
-            )
+
+        def demonstrator(state: DialogueState, rng: np.random.Generator) -> int:
+            if rng.random() < fidelity:
+                pool = by_stage[self.latent.stage]  # rng.choice(pool) is this one integers draw
+                return pool[int(rng.integers(0, len(pool)))]
+            return int(rng.integers(1, len(self.catalog) + 1))
+
+        episodes: list[Episode] = []
+        turns: list[Turn] = []
+        for _, state, action, _, _, done, response in rollouts(self, n, demonstrator, seed):
+            turns.append(Turn(Speaker.SEEKER, state.query, emotion=None if turns else state.emotion))
+            turns.append(Turn(Speaker.SUPPORTER, response, strategy=action))
+            if done:
+                session_id = f"demo-{len(episodes):05d}"
+                episodes.append(Episode(state.description, tuple(turns), session_id, emotion=state.emotion))
+                turns = []
         return episodes
 
 
-def collect_transitions(
-    env: StagedEnv,
-    n_episodes: int,
-    policy: Optional[Callable[[DialogueState], int]] = None,
-    seed: int = 0,
-    with_latents: bool = False,
-):
-    """Roll episodes and return their transitions (uniform-random policy by default).
+# np.random.Generator as a string: evaluating it here would import numpy.random at module load
+Policy = Callable[[DialogueState, "np.random.Generator"], int]
 
-    With `with_latents`, also returns one (latent, action) pair per transition
-    for oracle lookups.
+
+def rollouts(
+    env: StagedEnv, n_episodes: int, policy: Optional[Policy] = None, seed: int = 0
+) -> Iterator[tuple[LatentState, DialogueState, int, float, DialogueState, bool, str]]:
+    """Roll `n_episodes` episodes and yield one tuple per step:
+    (latent, state, action, reward, next state, done, response).
+
+    One `default_rng(seed)` seeds every episode's reset and picks every action:
+    uniformly over the K strategies by default, else `policy(state, rng)`.
     """
     rng = np.random.default_rng(seed)
     k = len(env.catalog)
-    transitions: list[Transition] = []
-    latent_steps: list[tuple[LatentState, int]] = []
     for _ in range(n_episodes):
         state = env.reset(seed=int(rng.integers(2**31)))
         done = False
         while not done:
             latent = env.latent
-            action = policy(state) if policy is not None else int(rng.integers(1, k + 1))
+            action = policy(state, rng) if policy is not None else int(rng.integers(1, k + 1))
             next_state, reward, done = env.step(action)
-            transitions.append(
-                Transition(
-                    state=state,
-                    action=action,
-                    reward=reward,
-                    next_state=None if done else next_state,
-                    terminal=done,
-                    response=env.last_response,
-                )
-            )
-            latent_steps.append((latent, action))
+            yield latent, state, action, reward, next_state, done, env.last_response
             state = next_state
+
+
+def collect_transitions(
+    env: StagedEnv,
+    n_episodes: int,
+    policy: Optional[Policy] = None,
+    seed: int = 0,
+    with_latents: bool = False,
+):
+    """The transitions of `rollouts(env, n_episodes, policy, seed)`, in order.
+
+    A terminal transition has no next state.  With `with_latents`, also
+    returns one (latent, action) pair per transition for oracle lookups.
+    """
+    transitions: list[Transition] = []
+    latent_steps: list[tuple[LatentState, int]] = []
+    for latent, state, action, reward, next_state, done, response in rollouts(env, n_episodes, policy, seed):
+        next_state = None if done else next_state
+        transitions.append(Transition(state, action, reward, next_state, terminal=done, response=response))
+        latent_steps.append((latent, action))
     if with_latents:
         return transitions, latent_steps
     return transitions

@@ -32,6 +32,11 @@ decided its test set in one batch: one `select_strategy` call per state.
 random choice is a `Generator.choice` call, and every state is rebuilt from
 a history list, so the environment, which draws one uniform through a CDF
 built once and keeps the state it returned, must give equal episodes.
+
+`hand_simulate_rows` is `supportq simulate` as it was before it ran on
+`env.rollouts`: its own episode loop per row over a stage-match env, and a
+separate `SyntheticJudge` scoring every step, so the command, which reads the
+judge env's own rewards, must give equal rows and transition counts.
 """
 
 from __future__ import annotations
@@ -45,8 +50,16 @@ import numpy as np
 import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Episode, Speaker, Turn, derive_transitions
 from supportq.encoding import encode_answer, encode_pair
-from supportq.env import DESCRIPTION_TEMPLATE, EpisodeFinished, LatentState, StagedEnv, response_template
-from supportq.rewards import _hash_unit
+from supportq.env import (
+    DESCRIPTION_TEMPLATE,
+    EpisodeFinished,
+    LatentState,
+    StagedEnv,
+    StagedEnvConfig,
+    response_template,
+)
+from supportq.metrics import avg_reward_value, stage_upper_mass, transition_matrix
+from supportq.rewards import SyntheticJudge, _hash_unit
 from supportq.qnet import extract_features
 from supportq.qnet.seq import _GELU_C as SEQ_GELU_C
 from supportq.qnet.seq import _MASKED as SEQ_MASKED
@@ -643,3 +656,47 @@ class ChoiceDrawEnv(StagedEnv):
                 )
             )
         return episodes
+
+
+def hand_simulate_rows(scorer, catalog, vocab, n_episodes, horizon, seed, gamma):
+    """simulate.json's rows and the greedy row's transition counts, each row
+    rolled by hand with its own env and `default_rng(seed + 17)`."""
+    judge = SyntheticJudge(catalog=catalog, nominal_turns=horizon, seed=seed)
+
+    def run(policy_name, greedy):
+        env = StagedEnv(StagedEnvConfig(horizon=horizon, seed=seed), catalog=catalog)
+        rng = np.random.default_rng(seed + 17)
+        sequences, rewards, model_q = [], [], []
+        for _ in range(n_episodes):
+            state = env.reset(seed=int(rng.integers(2**31)))
+            done = False
+            actions, scores = [], []
+            while not done:
+                if greedy:
+                    qs = scorer.q_all(state, catalog, vocab)
+                    action = int(np.argmax(qs)) + 1
+                    model_q.append(float(qs[action - 1]))
+                else:
+                    action = int(rng.integers(1, len(catalog) + 1))
+                response = response_template(catalog.by_id(action).name)
+                scores.append(float(judge.score(state, action, response)))
+                state, _, done = env.step(action)
+                actions.append(action)
+            sequences.append(actions)
+            rewards.append(scores)
+        avg_r, avg_v = avg_reward_value(rewards, gamma)
+        matrix = transition_matrix(sequences, len(catalog))
+        row = {
+            "policy": policy_name,
+            "episodes": n_episodes,
+            "avg_reward": avg_r,
+            "avg_value": avg_v,
+            "stage_upper_mass": stage_upper_mass(matrix, catalog),
+        }
+        if model_q:
+            row["mean_model_q"] = float(np.mean(model_q))
+        return row, matrix
+
+    greedy_row, greedy_matrix = run("greedy", True)
+    random_row, _ = run("random", False)
+    return [greedy_row, random_row], greedy_matrix

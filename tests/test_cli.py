@@ -18,11 +18,11 @@ from supportq.core import derive_transitions
 from supportq.encoding import Vocabulary, build_vocab
 from supportq.env import StagedEnv, StagedEnvConfig, value_iteration
 from supportq.ingest import load_esconv, save_episodes
-from supportq.metrics import confusion_matrix
+from supportq.metrics import confusion_matrix, write_matrix_csv
 from supportq.qnet import SeqConfig, SeqScorer, load_scorer, save_scorer
 from supportq.training import TrainerConfig
 
-from .oracles import per_state_eval_predictions
+from .oracles import hand_simulate_rows, per_state_eval_predictions
 
 
 def sha(path):
@@ -363,6 +363,20 @@ class TestSimulateCommand:
         greedy = payload["rows"][0]
         assert "mean_model_q" in greedy
         assert 0.0 <= greedy["stage_upper_mass"] <= 1.0
+
+    @pytest.mark.parametrize("backend", ["mlp", "seq"])
+    def test_rows_and_matrix_equal_the_hand_loop(self, tmp_path, backend, catalog):
+        out = tmp_path / "run"
+        ckpt = train(out, ["--backend", backend, "--demo-episodes", "10"])
+        rc = main(["simulate", "--mode", "env", "--checkpoint", str(ckpt), "--episodes", "12",
+                   "--gamma", "0.9", "--out-dir", str(out), *TINY])
+        assert rc == 0
+        scorer, _ = load_scorer(ckpt)
+        vocab = Vocabulary.load(out / "vocab.txt")
+        rows, matrix = hand_simulate_rows(scorer, catalog, vocab, 12, horizon=8, seed=5, gamma=0.9)
+        assert json.loads((out / "simulate.json").read_text()) == {"rows": rows, "gamma": 0.9}
+        write_matrix_csv(tmp_path / "reference.csv", matrix, catalog)
+        assert (out / "transition.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_zero_episodes_is_data_error(self, tmp_path):
         out = tmp_path / "run"

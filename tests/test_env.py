@@ -416,6 +416,20 @@ class TestDrawsEqualChoiceOracle:
             assert got == collect_transitions(oracle, 4, seed=seed, with_latents=True)
 
 
+def test_policy_draws_from_the_episode_stream(catalog):
+    # a policy drawing the default uniform action from the rng it is handed
+    # reproduces the default policy's episodes: both read one stream
+    k = len(catalog)
+
+    def uniform(state, rng):
+        return int(rng.integers(1, k + 1))
+
+    for seed in range(10):
+        env = StagedEnv(StagedEnvConfig(seed=seed), catalog=catalog)
+        got = collect_transitions(env, 6, policy=uniform, seed=seed, with_latents=True)
+        assert got == collect_transitions(env, 6, seed=seed, with_latents=True)
+
+
 class TestConfigRejectsWhatChoiceRejected:
     @pytest.mark.parametrize("field", ["match_advance_prob", "mismatch_advance_prob"])
     @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])

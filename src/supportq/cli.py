@@ -447,7 +447,7 @@ def _simulate(cfg: RunConfig, out: Path, checkpoint: str, n_episodes: int) -> No
 
     def greedy(state, rng) -> int:
         qs = scorer.q_all(state, catalog, vocab)
-        action = int(np.argmax(qs)) + 1
+        action = int(qs.argmax()) + 1
         model_q.append(float(qs[action - 1]))
         return action
 

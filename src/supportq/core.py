@@ -7,7 +7,9 @@ description, seeker emotion, prior turns, current query) and the action is
 the integer id of the support strategy used for the reply.
 
 All types here are immutable after construction and safe to share across
-threads.
+threads.  The per-step value types (`Emotion`, `Turn`, `DialogueState`,
+`Transition`, `Episode`) are slotted, without a per-instance `__dict__`,
+since rollouts and datasets hold many of them.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ DEFAULT_EMOTIONS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Emotion:
     label: str
     intensity: Optional[int] = None
@@ -173,7 +175,7 @@ class Emotion:
         return f"{self.label} (intensity: {self.intensity})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     speaker: Speaker
     text: str
@@ -193,7 +195,7 @@ def _check_alternation(turns: Sequence[Turn], what: str) -> None:
             raise ValueError(f"{what} must alternate speakers (merge same-speaker turns first)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialogueState:
     """MDP state: everything the planner sees when choosing a strategy."""
 
@@ -214,7 +216,7 @@ class DialogueState:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """One (s, a, r, s') step; terminal steps have no successor state.
 
@@ -237,7 +239,7 @@ class Transition:
         return replace(self, reward=reward)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Episode:
     """A full conversation session, optionally with per-turn annotations."""
 

@@ -173,6 +173,11 @@ class StagedEnv:
             rank = s.stage.rank
             primary = rank is not None and first_of_stage[rank] == s.id
             self._effectiveness[s.id] = 1.0 if primary else config.secondary_effectiveness
+        # what a step appends depends only on the action and the query, so each turn is built once
+        self._reply_turns = tuple(
+            Turn(Speaker.SUPPORTER, response_template(s.name), strategy=s.id) for s in self.catalog
+        )
+        self._query_turns = {q: Turn(Speaker.SEEKER, q) for pool in STAGE_QUERIES.values() for q in pool}
         self._judge = None
         if config.reward_source == "judge":
             from .rewards import SyntheticJudge
@@ -270,19 +275,24 @@ class StagedEnv:
         and the pick `Generator.choice` over the successor probabilities
         gives, even when the one successor is certain; a terminal step draws
         nothing.
+
+        The history grows by the environment's own seeker turn for the
+        query and supporter turn for the action, built once in `__init__`
+        and shared by every state; `last_response` is that turn's text.
+        An action that is not a strategy id raises what `catalog.by_id`
+        raises for it.
         """
         if self._done or self._latent is None:
             raise EpisodeFinished("call reset() before stepping")
-        response = response_template(self.catalog.by_id(action).name)
+        if not 1 <= action <= len(self._reply_turns):
+            self.catalog.by_id(action)  # raises its KeyError
+        reply = self._reply_turns[action - 1]  # a non-integral id raises TypeError, as in by_id
         latent, state = self._latent, self._state
-        reward = self._reward(latent, action, state, response)
-        self.last_response = response
+        reward = self._reward(latent, action, state, reply.text)
+        self.last_response = reply.text
 
         successors = self._successors(latent, action)
-        history = state.history + (
-            Turn(Speaker.SEEKER, state.query),
-            Turn(Speaker.SUPPORTER, response, strategy=action),
-        )
+        history = state.history + (self._query_turns[state.query], reply)
         if not successors:
             self._done = True
             self._latent = LatentState(
@@ -351,9 +361,7 @@ class StagedEnv:
             state = self.canonical_state(lat) if self._judge is not None else None
             for a in self.catalog.ids:
                 if self._judge is not None:
-                    rewards[i, a - 1] = float(
-                        self._judge.score(state, a, response_template(self.catalog.by_id(a).name))
-                    )
+                    rewards[i, a - 1] = float(self._judge.score(state, a, self._reply_turns[a - 1].text))
                 else:
                     rewards[i, a - 1] = self._stage_match_reward(lat, a)
                 successors = self._successors(lat, a)
@@ -394,9 +402,11 @@ class StagedEnv:
 
         episodes: list[Episode] = []
         turns: list[Turn] = []
-        for _, state, action, _, _, done, response in rollouts(self, n, demonstrator, seed):
-            turns.append(Turn(Speaker.SEEKER, state.query, emotion=None if turns else state.emotion))
-            turns.append(Turn(Speaker.SUPPORTER, response, strategy=action))
+        for _, state, _, _, next_state, done, _ in rollouts(self, n, demonstrator, seed):
+            seeker, reply = next_state.history[-2:]  # the step's shared turns
+            if not turns:  # the opening seeker turn carries the session's emotion
+                seeker = Turn(Speaker.SEEKER, state.query, emotion=state.emotion)
+            turns += (seeker, reply)
             if done:
                 session_id = f"demo-{len(episodes):05d}"
                 episodes.append(Episode(state.description, tuple(turns), session_id, emotion=state.emotion))

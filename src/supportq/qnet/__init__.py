@@ -4,9 +4,9 @@ Two interchangeable backends implement the same operations (`q_value`,
 `q_all`, `select_strategy`, `grad_q`, `loss_and_grads`) as subclasses of the
 `Scorer` base in `base.py`.  Each computes Q(s, ·) for every action in one pass:
 
-* `SeqScorer` -- a small causal transformer; Q(s, a) is the mean
-  log-probability of the appended answer tokens " (k)", a space and one
-  answer word, all scored from one pass over the shared prompt.
+* `SeqScorer` -- a small causal transformer; Q(s, a) is the
+  log-probability of the answer " (k)", the one token `(k)` that carries
+  its leading space, read for every k from one pass over the shared prompt.
 * `MlpScorer` -- a feed-forward net over the state's feature row, whose
   first layer adds one weight row per action; faster, and exactly
   comparable against the oracle.

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import DEFAULT_EMOTIONS, DialogueState, Stage, StrategyCatalog
+from ..env import STAGE_QUERIES
 from .base import ParamSpec, Scorer
 
 _STAGE_SLOT = {None: 0, Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: 4}
@@ -35,6 +36,26 @@ def _fnv1a(text: str) -> int:
         h ^= byte
         h = (h * 0x01000193) & 0xFFFFFFFF
     return h
+
+
+def _word_bag(query: str, hash_dim: int) -> list[float]:
+    """Counts of the query's lower-cased words in their FNV-1a buckets."""
+    counts = [0.0] * hash_dim
+    for word in query.lower().split():
+        counts[_fnv1a(word) % hash_dim] += 1.0
+    return counts
+
+
+@lru_cache(maxsize=8)  # one entry per hash_dim in use
+def _simulator_bags(hash_dim: int) -> dict[str, np.ndarray]:
+    """Read-only word bags of the staged simulator's seeker texts, the only
+    queries an env-driven state carries."""
+    bags = {}
+    for pool in STAGE_QUERIES.values():
+        for query in pool:
+            bag = bags[query] = np.array(_word_bag(query, hash_dim))
+            bag.flags.writeable = False
+    return bags
 
 
 @dataclass(frozen=True)
@@ -50,7 +71,12 @@ def feature_dim(fc: FeatureConfig, n_actions: int) -> int:
 
 
 def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: FeatureConfig) -> np.ndarray:
-    """(F,) deterministic feature row of `state`, its action one-hot block at zero."""
+    """(F,) deterministic feature row of `state`, its action one-hot block at zero.
+
+    The word bag of a staged-simulator query is built once per hash_dim and
+    copied into the row; any other query's bag is counted afresh.  Either
+    way the returned row is the caller's own.
+    """
     k = len(catalog)
     row = np.zeros(feature_dim(fc, k), dtype=np.float64)
     offset = 0
@@ -70,8 +96,8 @@ def extract_features(state: DialogueState, catalog: StrategyCatalog, fc: Feature
     row[offset + bisect_right(fc.history_bucket_edges, len(state.history))] = 1.0
     offset += len(fc.history_bucket_edges) + 1
 
-    for word in state.query.lower().split():
-        row[offset + _fnv1a(word) % fc.hash_dim] += 1.0
+    bag = _simulator_bags(fc.hash_dim).get(state.query)
+    row[offset:] = _word_bag(state.query, fc.hash_dim) if bag is None else bag
     return row
 
 
@@ -89,6 +115,12 @@ class MlpConfig:
 class MlpScorer(Scorer):
     backend = "mlp"
     default_learning_rate = 1.0e-3
+
+    def __init__(self, config: MlpConfig, seed: int = 0, params: Optional[dict[str, np.ndarray]] = None):
+        super().__init__(config, seed, params)
+        start = len(config.features.emotions)
+        self._action_rows = slice(start, start + config.n_actions)  # the one-hot block's rows of layers.0.w
+        self._layers = tuple((f"layers.{i}.w", f"layers.{i}.b") for i in range(1, len(config.hidden) + 1))
 
     @staticmethod
     def param_specs(config: MlpConfig) -> list[ParamSpec]:
@@ -110,17 +142,16 @@ class MlpScorer(Scorer):
         (B * A, width), and Q as (B, A)."""
         p = self.params
         w = p["layers.0.w"]
-        start = len(self.config.features.emotions)  # the action one-hot block's first row
-        action_rows = w[start : start + self.config.n_actions]
+        action_rows = w[self._action_rows]
         x = (feats @ w)[:, None, :] + (action_rows if actions is None else action_rows[actions - 1][:, None, :])
         x += p["layers.0.b"]
         shape = x.shape[:2]
         x = x.reshape(-1, x.shape[-1])
         acts = []
-        for i in range(1, len(self.config.hidden) + 1):
+        for wk, bk in self._layers:
             acts.append(np.tanh(x, out=x))
-            x = x @ p[f"layers.{i}.w"]
-            x += p[f"layers.{i}.b"]
+            x = x @ p[wk]
+            x += p[bk]
         return acts, x.reshape(shape)
 
     def _backward(self, feats: np.ndarray, actions: np.ndarray, acts: list, dq: np.ndarray) -> dict[str, np.ndarray]:
@@ -129,13 +160,12 @@ class MlpScorer(Scorer):
         per layer with tanh' = 1 - tanh², then the first layer's state term,
         feats.T @ dx, and its action rows, added back with `np.add.at`."""
         p, grads, dx = self.params, {}, dq
-        for i in range(len(acts), 0, -1):
-            a = acts[i - 1]
-            grads[f"layers.{i}.w"] = a.T @ dx
-            grads[f"layers.{i}.b"] = dx.sum(axis=0)
-            dx = (dx @ p[f"layers.{i}.w"].T) * (1.0 - a * a)
+        for (wk, bk), a in zip(reversed(self._layers), reversed(acts)):
+            grads[wk] = a.T @ dx
+            grads[bk] = dx.sum(axis=0)
+            dx = (dx @ p[wk].T) * (1.0 - a * a)
         grads["layers.0.w"] = feats.T @ dx
-        np.add.at(grads["layers.0.w"], len(self.config.features.emotions) + actions - 1, dx)
+        np.add.at(grads["layers.0.w"], self._action_rows.start + actions - 1, dx)
         grads["layers.0.b"] = dx.sum(axis=0)
         return grads
 

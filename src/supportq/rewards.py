@@ -56,9 +56,9 @@ class Judge(Protocol):
     def score(self, state: DialogueState, action: int, response: str) -> int: ...
 
 
-def _hash_unit(*parts) -> float:
-    """Deterministic value in [0, 1) from the content of `parts`."""
-    digest = hashlib.blake2b("\x1f".join(map(str, parts)).encode("utf-8"), digest_size=8)
+def _hash_unit(key: str) -> float:
+    """Deterministic value in [0, 1) from the text of `key`."""
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
     return int.from_bytes(digest.digest(), "big") / 2.0**64
 
 
@@ -104,7 +104,8 @@ class SyntheticJudge:
                 value += 1
             elif prev_rank - rank >= 2:
                 value -= 1
-        u = _hash_unit(self.seed, state.query, len(state.history), action, response)
+        # the noise key: seed, query, history length, action and response, as str() writes them, joined by \x1f
+        u = _hash_unit(f"{self.seed}\x1f{state.query}\x1f{len(state.history)}\x1f{action}\x1f{response}")
         if u < self.noise_prob / 2:
             value += 1
         elif u < self.noise_prob:

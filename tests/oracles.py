@@ -20,7 +20,12 @@ for bit.
 
 `rescan_judge_score` is the slow reference path of `SyntheticJudge.score`:
 it rescans the history for the supporter turns and asks the catalog for
-each stage on every call.
+each stage on every call, and hashes its noise key with `blake2b_unit`,
+which joins the key's parts as `str` writes them.
+
+`per_word_features` is `extract_features` as it was before the word bag was
+counted in a list and the simulator's bags were built once: it hashes every
+word into the row on every call.
 
 `rescan_build_state` is `build_state` as it was before transitions were
 derived in one walk over an episode: it rescans the turns for the supporter
@@ -41,8 +46,10 @@ judge env's own rewards, must give equal rows and transition counts.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -59,8 +66,9 @@ from supportq.env import (
     response_template,
 )
 from supportq.metrics import avg_reward_value, stage_upper_mass, transition_matrix
-from supportq.rewards import SyntheticJudge, _hash_unit
+from supportq.rewards import SyntheticJudge
 from supportq.qnet import extract_features
+from supportq.qnet.mlp import _STAGE_SLOT, _fnv1a, feature_dim
 from supportq.qnet.seq import _GELU_C as SEQ_GELU_C
 from supportq.qnet.seq import _MASKED as SEQ_MASKED
 from supportq.qnet.seq import _layer_norm as seq_layer_norm
@@ -529,6 +537,34 @@ def max_relative_error(grads, reference):
     return max(float(np.abs(grads[n] - reference[n]).max()) for n in reference) / scale
 
 
+def blake2b_unit(*parts):
+    """The judge's noise hash by its definition: the `str` of each part,
+    joined by \\x1f, hashed with 8-byte blake2b and scaled into [0, 1)."""
+    digest = hashlib.blake2b("\x1f".join(map(str, parts)).encode("utf-8"), digest_size=8)
+    return int.from_bytes(digest.digest(), "big") / 2.0**64
+
+
+def per_word_features(state, catalog, fc):
+    """`extract_features` with its word loop: each query word adds 1 to its
+    FNV-1a bucket of a fresh row."""
+    k = len(catalog)
+    row = np.zeros(feature_dim(fc, k), dtype=np.float64)
+    offset = 0
+    label = state.emotion.label.lower()
+    if label in fc.emotions:
+        row[offset + fc.emotions.index(label)] = 1.0
+    offset += len(fc.emotions) + k
+    last = state.last_supporter_strategy()
+    last_stage = None if last is None else catalog.stage_of(last)
+    row[offset + _STAGE_SLOT[last_stage]] = 1.0
+    offset += 5
+    row[offset + bisect_right(fc.history_bucket_edges, len(state.history))] = 1.0
+    offset += len(fc.history_bucket_edges) + 1
+    for word in state.query.lower().split():
+        row[offset + _fnv1a(word) % fc.hash_dim] += 1.0
+    return row
+
+
 def rescan_judge_score(judge, state, action, response):
     """`SyntheticJudge.score` by its definition: count the supporter turns
     and look up both strategies' stages in the catalog on every call."""
@@ -545,7 +581,7 @@ def rescan_judge_score(judge, state, action, response):
             value += 1
         elif prev_rank - rank >= 2:
             value -= 1
-    u = _hash_unit(judge.seed, state.query, len(state.history), action, response)
+    u = blake2b_unit(judge.seed, state.query, len(state.history), action, response)
     if u < judge.noise_prob / 2:
         value += 1
     elif u < judge.noise_prob:

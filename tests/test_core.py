@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +121,53 @@ class TestTypes:
             Emotion("anger", 6)
         assert Emotion("anger", 5).render() == "anger (intensity: 5)"
         assert Emotion("anger").render() == "anger"
+
+
+class TestSlottedTypes:
+    """The per-step value types carry no `__dict__` and keep their value semantics."""
+
+    @staticmethod
+    def instances():
+        emotion = Emotion("anger", 3)
+        history = (seeker("hi", emotion=emotion), supporter("hello", strategy=2))
+        state = DialogueState("d", emotion, history, "q?")
+        nxt = DialogueState("d", emotion, history + (seeker("q?"), supporter("ok", strategy=5)), "next?")
+        return [
+            emotion,
+            Emotion("fear"),
+            history[0],
+            history[1],
+            state,
+            Transition(state, 5, 1.0, nxt, response="ok"),
+            Transition(nxt, 3, None, None, terminal=True),
+            Episode("d", history, "s-1", emotion=emotion),
+        ]
+
+    def test_no_instance_dict(self):
+        for obj in self.instances():
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, None)
+            # no slot for it; Python 3.11's generated __setattr__ raises TypeError here, not FrozenInstanceError
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 1
+
+    def test_pickle_copy_and_replace_keep_the_value(self):
+        for obj in self.instances():
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj), dataclasses.replace(obj)):
+                assert type(twin) is type(obj)
+                assert twin == obj and hash(twin) == hash(obj)
+        state = self.instances()[4]
+        other = dataclasses.replace(state, query="another?")
+        assert other != state and other.query == "another?" and other.history is state.history
+        with pytest.raises(ValueError):
+            dataclasses.replace(state, query="")
+
+    def test_equality_and_hash_follow_the_fields(self):
+        a, b = self.instances(), self.instances()
+        for x, y in zip(a, b):
+            assert x is not y and x == y and hash(x) == hash(y)
+        assert len(set(a)) == len(a)
 
 
 class TestBuildState:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from supportq.core import Stage, derive_transitions
+from supportq.core import Speaker, Stage, Turn, derive_transitions
 from supportq.env import (
     ESCONV_EMOTION_COUNTS,
+    STAGE_QUERIES,
     EpisodeFinished,
     LatentState,
     StagedEnv,
@@ -14,6 +15,8 @@ from supportq.env import (
     StateSpaceTooLarge,
     TabularMDP,
     collect_transitions,
+    response_template,
+    rollouts,
     value_iteration,
 )
 
@@ -109,6 +112,35 @@ class TestStep:
             return out
 
         assert run() == run()
+
+    def test_steps_share_the_envs_turns(self, catalog):
+        # every step appends the env's one seeker turn for its query and one supporter turn for its action
+        env = StagedEnv(StagedEnvConfig(seed=2, reward_source="judge"), catalog=catalog)
+        seekers, replies = {}, {}
+        for _, state, action, _, next_state, _, response in rollouts(env, 30, seed=4):
+            seeker, reply = next_state.history[-2:]
+            assert next_state.history[:-2] == state.history
+            assert seeker == Turn(Speaker.SEEKER, state.query)
+            assert reply == Turn(Speaker.SUPPORTER, response, strategy=action)
+            assert response == response_template(catalog.by_id(action).name)
+            assert seekers.setdefault(state.query, seeker) is seeker
+            assert replies.setdefault(action, reply) is reply
+        assert len(replies) == len(catalog)
+        assert len(seekers) == sum(len(pool) for pool in STAGE_QUERIES.values())
+
+    @pytest.mark.parametrize("action", [0, 9, -1, 3.0])
+    def test_bad_action_raises_what_it_raised_and_changes_nothing(self, catalog, action):
+        config = StagedEnvConfig(seed=6, reward_source="judge")
+        env, oracle = StagedEnv(config, catalog=catalog), ChoiceDrawEnv(config, catalog=catalog)
+        state = env.reset(seed=1)
+        oracle.reset(seed=1)
+        with pytest.raises(Exception) as want:
+            oracle.step(action)
+        with pytest.raises(want.type) as got:
+            env.step(action)
+        assert got.type is want.type and str(got.value) == str(want.value)
+        assert env.state() is state and env.latent == oracle.latent and env.last_response is None
+        assert env.step(1) == oracle.step(1)
 
 
 class TestTabular:

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Speaker, Turn
+from supportq.env import STAGE_QUERIES
 from supportq.qnet import (
     FeatureConfig,
     MlpConfig,
@@ -17,9 +20,17 @@ from supportq.qnet import (
     save_scorer,
 )
 from supportq.qnet.base import encode_states
+from supportq.qnet.mlp import _simulator_bags
 
 from .conftest import fd_gradient, rel_error
-from .oracles import feature_block, max_relative_error, tape_grads, tape_loss_grads, tape_mlp_q
+from .oracles import (
+    feature_block,
+    max_relative_error,
+    per_word_features,
+    tape_grads,
+    tape_loss_grads,
+    tape_mlp_q,
+)
 
 
 class TestFeatures:
@@ -81,6 +92,67 @@ class TestFeatures:
         np.testing.assert_array_equal(block[:, e : e + k], np.eye(k))
         rest = np.delete(block, np.s_[e : e + k], axis=1)
         np.testing.assert_array_equal(rest, np.repeat(rest[:1], k, axis=0))
+
+
+# mixed case, Unicode whose lower() changes length (İ), and the whitespace str.split breaks on
+WORDS = st.sampled_from(["I", "feel", "FEEL", "Feel", "stuck", "Ünïcode", "İstanbul", "straße", "ΣΟΦΊΑ", "?", "a"])
+GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\x85", "\u2003", " \xa0\x85 "])
+HASH_DIMS = (FeatureConfig().hash_dim, 16)  # the default and the one other width the tests build
+SIMULATOR_QUERIES = [query for pool in STAGE_QUERIES.values() for query in pool]
+
+
+@st.composite
+def queries(draw):
+    words = draw(st.lists(WORDS, min_size=1, max_size=12))
+    words += draw(st.lists(st.sampled_from(words), max_size=4))  # repeated words
+    gaps = draw(st.lists(GAPS, min_size=len(words) + 1, max_size=len(words) + 1))
+    return "".join(g + w for g, w in zip(gaps, words)) + gaps[-1]
+
+
+class TestWordBag:
+    """The list-counted word bag, and the simulator's bags built once, against the per-word loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(query=queries())
+    def test_rows_equal_the_per_word_loop(self, query, catalog):
+        history = (Turn(Speaker.SEEKER, "I feel stuck."), Turn(Speaker.SUPPORTER, "Go on.", strategy=3))
+        state = DialogueState("d", Emotion("Anxiety", 4), history, query)
+        for hash_dim in HASH_DIMS:
+            fc = FeatureConfig(hash_dim=hash_dim)
+            got, want = extract_features(state, catalog, fc), per_word_features(state, catalog, fc)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("query", SIMULATOR_QUERIES)
+    def test_simulator_rows_equal_the_per_word_loop(self, query, tiny_state, catalog):
+        state = dataclasses.replace(tiny_state, query=query)
+        for hash_dim in HASH_DIMS:
+            fc = FeatureConfig(hash_dim=hash_dim)
+            assert query in _simulator_bags(hash_dim)
+            got, want = extract_features(state, catalog, fc), per_word_features(state, catalog, fc)
+            assert got.tobytes() == want.tobytes()
+
+    def test_whitespace_only_query_gives_an_empty_bag(self, tiny_state, catalog):
+        state = dataclasses.replace(tiny_state, query=" \xa0\x85\t")
+        fc = FeatureConfig()
+        assert not extract_features(state, catalog, fc)[-fc.hash_dim :].any()
+        assert extract_features(state, catalog, fc).tobytes() == per_word_features(state, catalog, fc).tobytes()
+
+    def test_simulator_bags_are_read_only(self):
+        bag = _simulator_bags(32)[SIMULATOR_QUERIES[0]]
+        with pytest.raises(ValueError):
+            bag[0] = 5.0
+        with pytest.raises(ValueError):
+            bag += 1.0
+
+    @pytest.mark.parametrize("query", [SIMULATOR_QUERIES[0], "a query the simulator never asks"])
+    def test_a_returned_row_is_the_callers_own(self, query, tiny_state, catalog):
+        state = dataclasses.replace(tiny_state, query=query)
+        fc = FeatureConfig()
+        first = extract_features(state, catalog, fc)
+        want = first.copy()
+        first[:] = -7.0
+        np.testing.assert_array_equal(extract_features(state, catalog, fc), want)
+        np.testing.assert_array_equal(extract_features(state, catalog, fc), per_word_features(state, catalog, fc))
 
 
 class TestScorer:

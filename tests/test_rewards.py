@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import supportq
+import supportq.rewards as rewards
 from supportq.core import DialogueState, Emotion, Speaker, Transition, Turn, derive_transitions
 from supportq.encoding import render_judge_prompt
 from supportq.env import StagedEnv, StagedEnvConfig, collect_transitions
@@ -24,12 +25,13 @@ from supportq.rewards import (
     RemoteJudgeConfig,
     ScoreOutOfRange,
     SyntheticJudge,
+    _hash_unit,
     affine_unit_mapping,
     distill_rewards,
     imitation_rewards,
 )
 
-from .oracles import rescan_judge_score
+from .oracles import blake2b_unit, rescan_judge_score
 
 
 @pytest.fixture
@@ -187,6 +189,17 @@ class TestSyntheticJudge:
                 for action in catalog.ids:
                     assert judge.score(state, action, "r") == rescan_judge_score(judge, state, action, "r")
 
+    @pytest.mark.parametrize("action", [1, 1.0, True])
+    def test_noise_key_writes_each_part_as_str_does(self, catalog, tiny_state, action, monkeypatch):
+        # 1 == 1.0 == True, but str() tells them apart, and so must the key the judge hashes
+        keys = []
+        monkeypatch.setattr(rewards, "_hash_unit", lambda key: keys.append(key) or _hash_unit(key))
+        judge = SyntheticJudge(catalog=catalog, seed=7)
+        judge.score(tiny_state, action, "r")
+        parts = (7, tiny_state.query, len(tiny_state.history), action, "r")
+        assert keys == ["\x1f".join(map(str, parts))]
+        assert _hash_unit(keys[0]) == blake2b_unit(*parts)
+
     @pytest.mark.parametrize("action", [0, 9])
     def test_unknown_action_raises(self, catalog, bare_state, action):
         with pytest.raises(KeyError):
@@ -320,10 +333,19 @@ class TestRemoteJudge:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_cli_import_leaves_urllib_to_the_remote_judge():
-    # only RemoteJudge talks HTTP; every other command should not pay for urllib
+def _modules_after_importing_the_cli(names):
     src = str(Path(supportq.__file__).resolve().parents[1])
     env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, supportq.cli; print('urllib.request' in sys.modules)"
+    code = f"import sys, supportq.cli; print([n in sys.modules for n in {names!r}])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env_vars, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # env's Policy alias names np.random.Generator as a string: evaluating it at import loads numpy.random
+    assert _modules_after_importing_the_cli(["numpy.random"]) == "[False]"
+
+
+def test_cli_import_leaves_urllib_to_the_remote_judge():
+    # only RemoteJudge talks HTTP; every other command should not pay for urllib
+    assert _modules_after_importing_the_cli(["urllib.request"]) == "[False]"

@@ -328,6 +328,8 @@ def _load_checkpoint(checkpoint: str):
     catalog = default_catalog()
     scorer, extra = load_scorer(checkpoint)
     vocab_path = Path(checkpoint).parent / "vocab.txt"
+    if scorer.backend == "seq" and not vocab_path.exists():
+        raise FileNotFoundError(f"a seq checkpoint needs the vocabulary it was trained with: {vocab_path} is missing")
     vocab = Vocabulary.load(vocab_path) if vocab_path.exists() else None
     if vocab is not None and extra.get("vocab_sha256") not in (None, vocab.content_hash()):
         raise CheckpointMismatch("vocabulary hash differs from the one used in training")

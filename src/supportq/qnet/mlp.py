@@ -158,14 +158,18 @@ class MlpScorer(Scorer):
         """Gradient of sum(dq * Q) with respect to every parameter, from the
         activations of `_forward(feats, actions)`, dq (B, 1): one matmul pair
         per layer with tanh' = 1 - tanh², then the first layer's state term,
-        feats.T @ dx, and its action rows, added back with `np.add.at`."""
+        feats.T @ dx, and its action rows, added back with one 1-D `np.add.at`
+        over flat cell indices: each cell gets the additions of a row scatter,
+        in the same order."""
         p, grads, dx = self.params, {}, dq
         for (wk, bk), a in zip(reversed(self._layers), reversed(acts)):
             grads[wk] = a.T @ dx
             grads[bk] = dx.sum(axis=0)
             dx = (dx @ p[wk].T) * (1.0 - a * a)
-        grads["layers.0.w"] = feats.T @ dx
-        np.add.at(grads["layers.0.w"], self._action_rows.start + actions - 1, dx)
+        g = grads["layers.0.w"] = feats.T @ dx
+        width = g.shape[1]
+        cells = (actions + (self._action_rows.start - 1))[:, None] * width + np.arange(width)
+        np.add.at(g.reshape(-1), cells.reshape(-1), dx.reshape(-1))
         grads["layers.0.b"] = dx.sum(axis=0)
         return grads
 

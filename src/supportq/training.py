@@ -5,9 +5,11 @@ first step as in fitted Q iteration, so it is encoded once, before the first
 step: every state and next-state object becomes a row of a table of
 distinct codes (`Scorer.encode`), and no step renders, hashes or tokenizes
 text again.  Batches are sampled uniformly with replacement from the whole
-list (or swept in order); targets come from one batched call of a
-periodically synchronized copy of the scorer over the batch's next-state
-rows, so no gradient ever flows through the target side; the squared TD
+list (or swept in order).  Targets come from a periodically synchronized
+copy of the scorer, frozen between two syncs, so `fit` runs one sync window
+at a time: it draws the window's batches, scores each distinct next-state
+row of the whole window once, then runs the window's steps on those
+targets.  No gradient ever flows through the target side; the squared TD
 error is minimized with Adam under a global gradient-norm clip.
 `compute_targets` and `train_step` take transitions and run the same
 encoded path on their batch.
@@ -205,30 +207,43 @@ def compute_targets_encoded(
     vocab: Optional[Vocabulary],
     gamma: float,
 ) -> np.ndarray:
-    """TD targets of the transitions `picks`: r + gamma * max_a' Q_target(s', a')
-    where the next row is set, else r, from one `q_encoded` call over the
-    picked next-state rows."""
+    """TD targets of the transitions `picks`, one batch (B,) or a sync
+    window's batches (steps, B): r + gamma * max_a' Q_target(s', a') where the
+    next row is set, else r.
+
+    Each distinct next-state row is scored once, in near-equal `q_encoded`
+    calls of at most B rows, so no call is larger than one batch's.  Unless
+    B is 1, a part of one row is scored as two copies of it: a one-row mlp
+    pass takes numpy's matrix-vector path, whose bits can differ from those
+    of the matrix path that a call of more rows takes.
+    """
     out = data.reward[picks]
     nxt = data.next[picks]
     live = nxt >= 0
     if live.any():
-        q = target_scorer.q_encoded(data.table, nxt[live], catalog, vocab)
-        out[live] = out[live] + gamma * q.max(axis=1)
+        size = picks.shape[-1]
+        rows, inverse = np.unique(nxt[live], return_inverse=True)
+        best = np.empty(len(rows))
+        for part in np.array_split(np.arange(len(rows)), -(-len(rows) // size)):
+            scored = rows[part] if len(part) > 1 or size == 1 else rows[part].repeat(2)
+            best[part] = target_scorer.q_encoded(data.table, scored, catalog, vocab)[: len(part)].max(axis=1)
+        out[live] = out[live] + gamma * best[inverse]
     return out
 
 
 def train_step_encoded(
     scorer,
-    target_scorer,
     data: EncodedTransitions,
     picks: np.ndarray,
+    targets: np.ndarray,
     cfg: TrainerConfig,
     catalog: StrategyCatalog,
     vocab: Optional[Vocabulary],
     optimizer: Adam,
 ) -> tuple[float, float]:
-    """One optimizer step on the transitions `picks`: (loss, mean target)."""
-    targets = compute_targets_encoded(data, picks, target_scorer, catalog, vocab, cfg.gamma)
+    """One optimizer step on the transitions `picks` against their TD
+    `targets`, computed beforehand by `compute_targets_encoded` (in `fit`,
+    for the step's whole sync window): (loss, mean target)."""
     loss, grads = scorer.loss_and_grads_encoded(
         data.table, data.state[picks], data.action[picks], targets, catalog, vocab
     )
@@ -266,7 +281,9 @@ def train_step(
     if not batch:
         raise InsufficientData("empty batch")
     data = encode_transitions(batch, scorer, catalog, vocab, cfg.gamma)
-    return train_step_encoded(scorer, target_scorer, data, np.arange(len(batch)), cfg, catalog, vocab, optimizer)
+    picks = np.arange(len(batch))
+    targets = compute_targets_encoded(data, picks, target_scorer, catalog, vocab, cfg.gamma)
+    return train_step_encoded(scorer, data, picks, targets, cfg, catalog, vocab, optimizer)
 
 
 def fit(
@@ -280,25 +297,31 @@ def fit(
 
     The list is encoded once; every step draws its batch from all of it.
     Epochs count passes over the list; the target net syncs every
-    `target_sync_every` optimizer steps.
+    `target_sync_every` optimizer steps.  Between two syncs the target is
+    frozen, so each sync window draws its batches first, in the order the
+    steps take them, and computes all of its TD targets with one
+    `compute_targets_encoded` call before its first step.
     """
-    n = len(transitions)
-    if n < cfg.batch_size:
-        raise InsufficientData(f"need at least {cfg.batch_size} transitions, got {n}")
+    n, size = len(transitions), cfg.batch_size
+    if n < size:
+        raise InsufficientData(f"need at least {size} transitions, got {n}")
     data = encode_transitions(transitions, scorer, catalog, vocab, cfg.gamma)
     rng = np.random.default_rng(cfg.seed + 1)
     target = scorer.clone()
     optimizer = Adam(cfg.learning_rate or scorer.default_learning_rate)
     log = TrainLog()
-    for step in range(cfg.epochs * (n // cfg.batch_size)):
+    n_steps = cfg.epochs * (n // size)
+    for first in range(0, n_steps, cfg.target_sync_every):
+        window = range(first, min(first + cfg.target_sync_every, n_steps))
         if cfg.sample_in_order:
-            start = step * cfg.batch_size
-            picks = (start + np.arange(cfg.batch_size)) % n
+            picks = (np.arange(window.start * size, window.stop * size) % n).reshape(len(window), size)
         else:
-            picks = rng.integers(0, n, size=cfg.batch_size)
-        loss, mean_target = train_step_encoded(scorer, target, data, picks, cfg, catalog, vocab, optimizer)
-        synced = (step + 1) % cfg.target_sync_every == 0
-        if synced:
-            sync_target(scorer, target)
-        log.append(step, loss, mean_target, synced)
+            picks = rng.integers(0, n, size=(len(window), size))
+        targets = compute_targets_encoded(data, picks, target, catalog, vocab, cfg.gamma)
+        for step, batch, batch_targets in zip(window, picks, targets):
+            loss, mean_target = train_step_encoded(scorer, data, batch, batch_targets, cfg, catalog, vocab, optimizer)
+            synced = (step + 1) % cfg.target_sync_every == 0
+            if synced:
+                sync_target(scorer, target)
+            log.append(step, loss, mean_target, synced)
     return log

@@ -42,6 +42,13 @@ built once and keeps the state it returned, must give equal episodes.
 `env.rollouts`: its own episode loop per row over a stage-match env, and a
 separate `SyntheticJudge` scoring every step, so the command, which reads the
 judge env's own rewards, must give equal rows and transition counts.
+
+`per_step_fit` is `training.fit` as it was before a sync window's targets
+were computed at once: every step scores its batch's live next rows,
+duplicates included, in one call of the target scorer.
+`row_scatter_backward` is `MlpScorer._backward` as it was before the first
+layer's action rows were added back over flat cell indices: one 2-D
+`np.add.at` over the weight's rows.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ from supportq.env import (
 )
 from supportq.metrics import avg_reward_value, stage_upper_mass, transition_matrix
 from supportq.rewards import SyntheticJudge
+from supportq.training import Adam, TrainLog, clip_global_norm, encode_transitions, sync_target
 from supportq.qnet import extract_features
 from supportq.qnet.mlp import _STAGE_SLOT, _fnv1a, feature_dim
 from supportq.qnet.seq import _GELU_C as SEQ_GELU_C
@@ -736,3 +744,50 @@ def hand_simulate_rows(scorer, catalog, vocab, n_episodes, horizon, seed, gamma)
     greedy_row, greedy_matrix = run("greedy", True)
     random_row, _ = run("random", False)
     return [greedy_row, random_row], greedy_matrix
+
+
+def per_step_fit(transitions, scorer, catalog, vocab, cfg):
+    """The DQN loop with the targets of each step computed at that step,
+    from one `q_encoded` call over the batch's live next rows."""
+    n = len(transitions)
+    data = encode_transitions(transitions, scorer, catalog, vocab, cfg.gamma)
+    rng = np.random.default_rng(cfg.seed + 1)
+    target = scorer.clone()
+    optimizer = Adam(cfg.learning_rate or scorer.default_learning_rate)
+    log = TrainLog()
+    for step in range(cfg.epochs * (n // cfg.batch_size)):
+        if cfg.sample_in_order:
+            picks = (step * cfg.batch_size + np.arange(cfg.batch_size)) % n
+        else:
+            picks = rng.integers(0, n, size=cfg.batch_size)
+        targets = data.reward[picks]
+        nxt = data.next[picks]
+        live = nxt >= 0
+        if live.any():
+            q = target.q_encoded(data.table, nxt[live], catalog, vocab)
+            targets[live] = targets[live] + cfg.gamma * q.max(axis=1)
+        loss, grads = scorer.loss_and_grads_encoded(
+            data.table, data.state[picks], data.action[picks], targets, catalog, vocab
+        )
+        clip_global_norm(grads, cfg.grad_clip)
+        optimizer.step(scorer.params, grads)
+        synced = (step + 1) % cfg.target_sync_every == 0
+        if synced:
+            sync_target(scorer, target)
+        log.append(step, loss, float(targets.mean()), synced)
+    return log
+
+
+def row_scatter_backward(scorer, feats, actions, acts, dq):
+    """`MlpScorer._backward(feats, actions, acts, dq)` with the first
+    layer's action rows scattered row by row."""
+    p, grads, dx = scorer.params, {}, dq
+    n_layers = len(scorer.config.hidden)
+    for i, a in zip(range(n_layers, 0, -1), reversed(acts)):
+        grads[f"layers.{i}.w"] = a.T @ dx
+        grads[f"layers.{i}.b"] = dx.sum(axis=0)
+        dx = (dx @ p[f"layers.{i}.w"].T) * (1.0 - a * a)
+    grads["layers.0.w"] = feats.T @ dx
+    np.add.at(grads["layers.0.w"], len(scorer.config.features.emotions) + actions - 1, dx)
+    grads["layers.0.b"] = dx.sum(axis=0)
+    return grads

@@ -329,6 +329,30 @@ def test_old_seq_checkpoint_exits_4_and_says_retrain(tmp_path, capsys, catalog, 
     assert "retrain it" in err
 
 
+@pytest.mark.parametrize("command", [["eval"], ["simulate", "--episodes", "5"]])
+def test_seq_checkpoint_without_its_vocabulary_exits_3_and_names_it(tmp_path, capsys, catalog, command):
+    out = tmp_path / "run"
+    out.mkdir()
+    scorer = SeqScorer(SeqConfig(vocab_size=300, d_model=16, n_ctx=512), seed=0)
+    save_scorer(out / "checkpoint.npz", scorer, extra={"catalog_sha256": catalog.content_hash()})
+    rc = main([*command, "--mode", "env", "--checkpoint", str(out / "checkpoint.npz"), "--out-dir", str(out), *TINY])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert str(out / "vocab.txt") in err
+
+
+@pytest.mark.parametrize("command", [["eval"], ["simulate", "--episodes", "5"]])
+def test_mlp_checkpoint_needs_no_vocabulary(tmp_path, command):
+    trained = train(tmp_path / "run")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    ckpt = alone / "checkpoint.npz"
+    ckpt.write_bytes(trained.read_bytes())
+    rc = main([*command, "--mode", "env", "--checkpoint", str(ckpt), "--out-dir", str(alone), *TINY])
+    assert rc == 0
+
+
 class TestSweepCommand:
     def test_rows_match_gamma_list(self, tmp_path):
         out = tmp_path / "sweep"

@@ -27,6 +27,7 @@ from .oracles import (
     feature_block,
     max_relative_error,
     per_word_features,
+    row_scatter_backward,
     tape_grads,
     tape_loss_grads,
     tape_mlp_q,
@@ -268,3 +269,22 @@ def test_equal_features_share_one_table_row(mlp_scorer, tiny_state, catalog):
     table, rows = encode_states(mlp_scorer, [tiny_state, twin, tiny_state], catalog, None)
     assert len(table) == 1
     np.testing.assert_array_equal(rows, [0, 0, 0])
+
+
+@pytest.mark.parametrize("batch", [1, 2, 64, 200])
+def test_backward_equals_the_row_scatter_bit_for_bit(mlp_scorer, catalog, batch):
+    rng = np.random.default_rng(batch)
+    width = mlp_scorer.params["layers.0.w"].shape[0]
+    for trial in range(40):
+        feats = rng.normal(size=(batch, width))
+        actions = rng.integers(1, len(catalog) + 1, size=batch)
+        if batch > 1 and trial % 2:
+            actions[: batch // 2 + 1] = actions[0]  # repeated actions in every batch size
+        scale = 10.0 ** rng.uniform(-8, 3)
+        acts, q = mlp_scorer._forward(feats, actions)
+        dq = rng.normal(size=q.shape) * scale
+        got = mlp_scorer._backward(feats, actions, [a.copy() for a in acts], dq)
+        want = row_scatter_backward(mlp_scorer, feats, actions, acts, dq)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])

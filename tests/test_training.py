@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from supportq.core import DialogueState, Emotion, Transition
+from supportq.core import DialogueState, Emotion, Transition, derive_transitions
+from supportq.encoding import build_vocab, render_mcq
 from supportq.env import StagedEnv, StagedEnvConfig, collect_transitions, value_iteration
-from supportq.qnet import MlpConfig, MlpScorer, extract_features
+from supportq.qnet import MlpConfig, MlpScorer, SeqConfig, SeqScorer, extract_features
 from supportq.rewards import imitation_rewards
 from supportq.training import (
     Adam,
@@ -16,6 +18,7 @@ from supportq.training import (
     TrainerConfig,
     clip_global_norm,
     compute_targets,
+    encode_transitions,
     fit,
     sync_target,
     td_target,
@@ -23,6 +26,7 @@ from supportq.training import (
 )
 
 from .conftest import fd_gradient, rel_error
+from .oracles import per_step_fit
 
 
 class FixedScorer:
@@ -376,3 +380,105 @@ class TestFit:
         assert lines[0] == "step,loss,mean_target,synced"
         assert len(lines) == len(log) + 1
         assert float(lines[1].split(",")[1]) == log.records[0].loss
+
+
+def env_transitions(catalog):
+    """320 env-rewarded transitions, 40 of them terminal."""
+    return collect_transitions(StagedEnv(StagedEnvConfig(seed=6), catalog=catalog), 40, seed=0)
+
+
+def imitation_transitions(catalog, n_episodes=20):
+    """Imitation items of demonstrated episodes: +1/-1 siblings share a next state."""
+    env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
+    base = [tr for ep in env.demo_episodes(n_episodes, seed=0) for tr in derive_transitions(ep)]
+    return imitation_rewards(base, catalog, seed=0)
+
+
+def one_next_state_transitions(catalog):
+    """Env transitions whose non-terminal ones all lead to one next state."""
+    transitions = env_transitions(catalog)
+    shared = next(tr.next_state for tr in transitions if not tr.terminal)
+    return [tr if tr.terminal else dataclasses.replace(tr, next_state=shared) for tr in transitions]
+
+
+def assert_fit_is_per_step_fit(transitions, scorer, catalog, vocab, cfg):
+    stepped = scorer.clone()
+    log = fit(transitions, scorer, catalog, vocab, cfg)
+    reference = per_step_fit(transitions, stepped, catalog, vocab, cfg)
+    assert log.records == reference.records  # losses, mean targets, sync flags, bit for bit
+    for name, value in scorer.params.items():
+        np.testing.assert_array_equal(value, stepped.params[name])
+
+
+class TestFitEqualsPerStepFit:
+    @pytest.mark.parametrize("data", [env_transitions, imitation_transitions])
+    @pytest.mark.parametrize(
+        "batch_size, in_order, sync_every, gamma",
+        list(itertools.product([1, 64], [False, True], [1, 3, 10, 10_000], [0.0, 0.85])),
+    )
+    def test_mlp(self, catalog, data, batch_size, in_order, sync_every, gamma):
+        cfg = TrainerConfig(
+            gamma=gamma,
+            batch_size=batch_size,
+            epochs=1 if batch_size == 1 else 5,
+            target_sync_every=sync_every,
+            sample_in_order=in_order,
+            seed=2,
+        )
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        assert_fit_is_per_step_fit(data(catalog), scorer, catalog, None, cfg)
+
+    @pytest.mark.parametrize("in_order", [False, True])
+    def test_mlp_windows_with_one_live_next_state(self, catalog, in_order):
+        transitions = one_next_state_transitions(catalog)
+        cfg = TrainerConfig(epochs=3, sample_in_order=in_order, seed=1)
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        assert_fit_is_per_step_fit(transitions, scorer, catalog, None, cfg)
+
+    def test_seq_on_imitation_items(self, catalog):
+        transitions = imitation_transitions(catalog, n_episodes=1)[:12]
+        vocab = build_vocab([render_mcq(tr.state, catalog) for tr in transitions], 600)
+        scorer = SeqScorer(SeqConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_ctx=1024), seed=0)
+        cfg = TrainerConfig(batch_size=4, epochs=1, target_sync_every=2, seed=0)
+        assert_fit_is_per_step_fit(transitions, scorer, catalog, vocab, cfg)
+
+
+class TestFitTargetWork:
+    @pytest.mark.parametrize(
+        "data, batch_size",
+        [(env_transitions, 2), (env_transitions, 3), (env_transitions, 7), (env_transitions, 64),
+         (one_next_state_transitions, 64)],
+    )
+    def test_each_window_scores_each_distinct_live_next_row_once(self, catalog, monkeypatch, data, batch_size):
+        transitions = data(catalog)
+        cfg = TrainerConfig(batch_size=batch_size, epochs=2, seed=4)
+        events: list = []
+        score, sync = MlpScorer.q_encoded, sync_target
+
+        def recorded(self, table, rows, catalog, vocab=None):
+            events.append(list(rows))
+            return score(self, table, rows, catalog, vocab)
+
+        def marked(scorer, target):
+            events.append("sync")
+            sync(scorer, target)
+
+        monkeypatch.setattr(MlpScorer, "q_encoded", recorded)  # the class: the target clone is counted too
+        monkeypatch.setattr("supportq.training.sync_target", marked)
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        log = fit(transitions, scorer, catalog, None, cfg)
+
+        encoded = encode_transitions(transitions, scorer, catalog, None, cfg.gamma)
+        rng = np.random.default_rng(cfg.seed + 1)
+        n_steps = len(log)
+        calls = [list(group) for sync, group in itertools.groupby(events, lambda e: e == "sync") if not sync]
+        assert len(calls) == -(-n_steps // cfg.target_sync_every)
+        for first, window_calls in zip(range(0, n_steps, cfg.target_sync_every), calls):
+            steps = min(cfg.target_sync_every, n_steps - first)
+            picks = np.concatenate([rng.integers(0, len(transitions), size=batch_size) for _ in range(steps)])
+            live = encoded.next[picks][encoded.next[picks] >= 0]
+            # a call repeats a row only as the two copies of a lone row
+            assert all(len(set(rows)) == len(rows) or rows == rows[:1] * 2 for rows in window_calls)
+            scored = [row for rows in window_calls for row in set(rows)]
+            assert sorted(scored) == sorted(set(live.tolist()))  # every distinct live next row, exactly once
+            assert all(2 <= len(rows) <= batch_size for rows in window_calls)

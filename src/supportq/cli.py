@@ -409,10 +409,19 @@ def _per_strategy_csv(path, gold, hyps, refs, counts, strengths, catalog) -> Non
             writer.writerow(row)
 
 
-def _sweep(cfg: RunConfig, out: Path, gammas: list[float]) -> None:
+def _sweep(cfg: RunConfig, out: Path, gammas: str) -> None:
+    """Train and evaluate one run per gamma of the comma-separated `gammas`,
+    each in its own `gamma_*` directory, after every gamma's configuration
+    has been checked."""
+    try:
+        values = [float(x) for x in gammas.split(",") if x]
+    except ValueError as exc:
+        raise ConfigError(f"gammas: {exc}") from None
+    subs = [dataclasses.replace(cfg, gamma=gamma, out_dir=str(out / f"gamma_{gamma:g}")) for gamma in values]
+    for sub in subs:
+        sub.validate()
     rows = []
-    for gamma in gammas:
-        sub = dataclasses.replace(cfg, gamma=gamma, out_dir=str(out / f"gamma_{gamma:g}"))
+    for sub in subs:
         sub_out = Path(sub.out_dir)
         sub_out.mkdir(parents=True, exist_ok=True)
         _train(sub, sub_out)
@@ -420,7 +429,7 @@ def _sweep(cfg: RunConfig, out: Path, gammas: list[float]) -> None:
         report = json.loads((sub_out / "report.json").read_text())
         rows.append(
             {
-                "gamma": gamma,
+                "gamma": sub.gamma,
                 "acc": report["accuracy"],
                 "macro_f1": report["proficiency"],
                 "bleu2": report["bleu2"],
@@ -569,8 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "eval":
             _eval(cfg, out, args.checkpoint)
         elif args.command == "sweep":
-            gammas = [float(x) for x in args.gammas.split(",") if x]
-            _sweep(cfg, out, gammas)
+            _sweep(cfg, out, args.gammas)
         elif args.command == "simulate":
             _simulate(cfg, out, args.checkpoint, args.episodes)
         elif args.command == "ingest-stats":

@@ -15,7 +15,7 @@ since rollouts and datasets hold many of them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -234,9 +234,6 @@ class Transition:
     def __post_init__(self) -> None:
         if self.terminal != (self.next_state is None):
             raise ValueError("terminal transitions and only those lack a next_state")
-
-    def with_reward(self, reward: float) -> "Transition":
-        return replace(self, reward=reward)
 
 
 @dataclass(frozen=True, slots=True)

@@ -322,12 +322,8 @@ class StagedEnv:
         for t in range(latent.progress):
             history.append(Turn(Speaker.SEEKER, STAGE_QUERIES[1][t % 3]))
             strategy = None
-            if t == latent.progress - 1 and latent.last_slot != 0:
-                for s in self.catalog:
-                    slot = s.stage.rank if s.stage.rank is not None else 4
-                    if slot == latent.last_slot:
-                        strategy = s.id
-                        break
+            if t == latent.progress - 1:  # no strategy has slot 0, the "none yet" slot
+                strategy = next((s.id for s in self.catalog if self._last_slot(s.id) == latent.last_slot), None)
             history.append(Turn(Speaker.SUPPORTER, "I see.", strategy=strategy))
         return DialogueState(
             description=DESCRIPTION_TEMPLATE.format(label=latent.emotion),
@@ -360,10 +356,7 @@ class StagedEnv:
             i = index[lat]
             state = self.canonical_state(lat) if self._judge is not None else None
             for a in self.catalog.ids:
-                if self._judge is not None:
-                    rewards[i, a - 1] = float(self._judge.score(state, a, self._reply_turns[a - 1].text))
-                else:
-                    rewards[i, a - 1] = self._stage_match_reward(lat, a)
+                rewards[i, a - 1] = self._reward(lat, a, state, self._reply_turns[a - 1].text)
                 successors = self._successors(lat, a)
                 if not successors:
                     succ_idx[i, a - 1, 0] = terminal_index
@@ -498,36 +491,6 @@ class TabularMDP:
 
     def index_of(self, latent: LatentState) -> int:
         return self._index[latent]
-
-    def to_json_dict(self) -> dict:
-        triples = []
-        for s in range(self.n_states):
-            for a in range(self.n_actions):
-                for m in range(self.succ_p.shape[2]):
-                    p = float(self.succ_p[s, a, m])
-                    if p > 0.0:
-                        triples.append([s, a + 1, int(self.succ_idx[s, a, m]), p])
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "terminal": [int(i) for i in np.flatnonzero(self.terminal)],
-            "rewards": [
-                [s, a + 1, float(self.rewards[s, a])]
-                for s in range(self.n_states)
-                for a in range(self.n_actions)
-                if self.rewards[s, a] != 0.0
-            ],
-            "transitions": triples,
-            "states": None
-            if self.latents is None
-            else [list(lat[:2]) + [lat.emotion, lat.last_slot] for lat in self.latents],
-        }
-
-    def save_json(self, path) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
 
 
 @dataclass

@@ -274,12 +274,6 @@ def transition_matrix(action_sequences: Sequence[Sequence[int]], k: int) -> np.n
     return counts
 
 
-def row_normalize(matrix: np.ndarray) -> np.ndarray:
-    """Counts to per-row distributions; all-zero rows stay zero."""
-    sums = matrix.sum(axis=1, keepdims=True).astype(np.float64)
-    return np.divide(matrix, sums, out=np.zeros(matrix.shape, dtype=np.float64), where=sums > 0)
-
-
 def stage_upper_mass(matrix: np.ndarray, catalog: StrategyCatalog) -> float:
     """Fraction of transition mass that holds or advances the stage order.
 

@@ -13,6 +13,12 @@ each row, mapped back to the states; eval decides its test set this way.
 `q_value`, `q_all`, `grad_q` and `loss_and_grads` take states; they
 stay per class, where perfbench's tracer wraps them, and run `encode`, then
 the forward and backward that the encoded path runs.
+
+A backend's Q(s, ·) is one function of s: from any read (`q_all`,
+`q_value`, `select_strategy`) it equals s's row of any `q_encoded` call,
+bit for bit, whatever other rows share that call.  So greedy decisions one
+state at a time agree with `select_strategies`, and `td_target` with the
+trainer's batched targets.
 """
 
 from __future__ import annotations

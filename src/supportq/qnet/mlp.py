@@ -7,9 +7,13 @@ words.  A small tanh network maps the row with action a's one-hot set to
 Q(s, a).  The first layer never builds that one-hot: it adds row a of its
 weight to the state term x_s @ W0, so Q(s, ·) for a batch of states is one
 (B, F) matmul broadcast over the K action rows.  The network is
-differentiated by hand, layer by layer.  On the staged simulator these
-features encode the hidden environment state losslessly, making Q exactly
-comparable to the DP oracle.
+differentiated by hand, layer by layer.  A pass over every action
+multiplies at least two rows in each layer (K rows per state in the hidden
+layers; a lone state row goes through the first layer as two copies of
+itself), so Q(s, ·) from `q_all`, `q_value` or `select_strategy` equals
+s's row of any `q_encoded` call, bit for bit.  On the staged simulator
+these features encode the hidden environment state losslessly, making Q
+exactly comparable to the DP oracle.
 """
 
 from __future__ import annotations
@@ -143,7 +147,9 @@ class MlpScorer(Scorer):
         p = self.params
         w = p["layers.0.w"]
         action_rows = w[self._action_rows]
-        x = (feats @ w)[:, None, :] + (action_rows if actions is None else action_rows[actions - 1][:, None, :])
+        # one row would take numpy's matrix-vector path, which rounds differently
+        state_term = feats @ w if len(feats) > 1 else (feats.repeat(2, axis=0) @ w)[:1]
+        x = state_term[:, None, :] + (action_rows if actions is None else action_rows[actions - 1][:, None, :])
         x += p["layers.0.b"]
         shape = x.shape[:2]
         x = x.reshape(-1, x.shape[-1])

@@ -212,10 +212,9 @@ def compute_targets_encoded(
     next row is set, else r.
 
     Each distinct next-state row is scored once, in near-equal `q_encoded`
-    calls of at most B rows, so no call is larger than one batch's.  Unless
-    B is 1, a part of one row is scored as two copies of it: a one-row mlp
-    pass takes numpy's matrix-vector path, whose bits can differ from those
-    of the matrix path that a call of more rows takes.
+    calls of at most B rows, so no call is larger than one batch's.  A
+    scorer's Q row of a state does not depend on the other rows of its
+    call, so the targets equal `td_target` of each transition, bit for bit.
     """
     out = data.reward[picks]
     nxt = data.next[picks]
@@ -225,8 +224,7 @@ def compute_targets_encoded(
         rows, inverse = np.unique(nxt[live], return_inverse=True)
         best = np.empty(len(rows))
         for part in np.array_split(np.arange(len(rows)), -(-len(rows) // size)):
-            scored = rows[part] if len(part) > 1 or size == 1 else rows[part].repeat(2)
-            best[part] = target_scorer.q_encoded(data.table, scored, catalog, vocab)[: len(part)].max(axis=1)
+            best[part] = target_scorer.q_encoded(data.table, rows[part], catalog, vocab).max(axis=1)
         out[live] = out[live] + gamma * best[inverse]
     return out
 

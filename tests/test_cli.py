@@ -373,6 +373,18 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
 
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [("0.5,abc", "could not convert string to float"), ("0.5,1.0", "gamma must be in [0, 1)")],
+    )
+    def test_bad_gamma_is_a_config_error_before_any_run(self, tmp_path, capsys, gammas, message):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--mode", "env", "--gammas", gammas, "--out-dir", str(out), *TINY])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not list(out.glob("gamma_*")) and not (out / "sweep.csv").exists()
+
 
 class TestSimulateCommand:
     def test_simulate_reports_both_policies(self, tmp_path):

@@ -230,23 +230,6 @@ class TestTabular:
         p_value = stats.chi2.sf(stat, dof)
         assert p_value > 0.01
 
-    def test_json_export_is_consistent(self, env, tmp_path):
-        import json
-
-        mdp = env.to_tabular()
-        payload = mdp.to_json_dict()
-        assert payload["n_states"] == mdp.n_states
-        mass: dict = {}
-        for s, a, _, p in payload["transitions"]:
-            mass[(s, a)] = mass.get((s, a), 0.0) + p
-        for (s, a), total in mass.items():
-            assert total == pytest.approx(1.0, abs=1e-12)
-        assert payload["terminal"] == [mdp.terminal_index]
-        mdp.save_json(tmp_path / "mdp.json")
-        assert json.loads((tmp_path / "mdp.json").read_text()) == json.loads(
-            json.dumps(payload)
-        )
-
 
 class TestValueIteration:
     def test_absorbing_chain_geometric_value(self):

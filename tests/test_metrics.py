@@ -341,13 +341,6 @@ class TestMatrices:
         counts = transition_matrix(seqs, 8)
         assert counts.sum() == sum(max(len(s) - 1, 0) for s in seqs)
 
-    def test_row_normalize(self):
-        from supportq.metrics import row_normalize
-
-        counts = np.array([[2, 2], [0, 0]])
-        normalized = row_normalize(counts)
-        np.testing.assert_allclose(normalized, [[0.5, 0.5], [0.0, 0.0]])
-
     def test_matrix_csv_has_strategy_headers(self, tmp_path, catalog):
         counts = confusion_matrix([1, 2], [1, 2], 8)
         path = tmp_path / "m.csv"

@@ -55,11 +55,7 @@ class TestSelectStrategies:
         table, rows = encode_states(scorer, states, catalog, small_vocab)
         q = scorer.q_encoded(table, np.arange(len(table)), catalog, small_vocab)
         for state, row in zip(states, rows):
-            if fixture == "seq_scorer":  # one pass per code either way
-                np.testing.assert_array_equal(q[row], scorer.q_all(state, catalog, small_vocab))
-            else:  # a batched matmul may round differently from a one-row one
-                expected = scorer.q_all(state, catalog, small_vocab)
-                np.testing.assert_allclose(q[row], expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(q[row], scorer.q_all(state, catalog, small_vocab))
 
     def test_all_tied_scorer_picks_the_smallest_id(self, request, fixture, states, catalog, small_vocab):
         constant = zeroed(request.getfixturevalue(fixture))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import supportq.autodiff as ad
 from supportq.core import DialogueState, Emotion, Speaker, Turn
-from supportq.env import STAGE_QUERIES
+from supportq.env import STAGE_QUERIES, StagedEnv, StagedEnvConfig, collect_transitions
 from supportq.qnet import (
     FeatureConfig,
     MlpConfig,
@@ -21,6 +21,7 @@ from supportq.qnet import (
 )
 from supportq.qnet.base import encode_states
 from supportq.qnet.mlp import _simulator_bags
+from supportq.training import compute_targets, td_target
 
 from .conftest import fd_gradient, rel_error
 from .oracles import (
@@ -288,3 +289,56 @@ def test_backward_equals_the_row_scatter_bit_for_bit(mlp_scorer, catalog, batch)
         assert got.keys() == want.keys()
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
+
+
+def tied_scorer(catalog):
+    """An mlp whose Q(s, a) is one real number for every action a, so only
+    rounding orders the actions: the state part and bias of the first layer
+    and the rows of the second repeat with the period of one block of hidden
+    units, and action a's first-layer row is action 1's rolled by a blocks."""
+    scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+    p, k, rows = scorer.params, len(catalog), scorer._action_rows
+    w0 = p["layers.0.w"]
+    block = w0.shape[1] // k
+    first = w0[rows.start].copy()
+    w0[:] = np.tile(w0[:, :block], k)
+    p["layers.0.b"][:] = np.tile(p["layers.0.b"][:block], k)
+    p["layers.1.w"][:] = np.tile(p["layers.1.w"][:block], (k, 1))
+    for a in range(k):
+        w0[rows.start + a] = np.roll(first, a * block)
+    return scorer
+
+
+class TestOneQRowPerState:
+    """Q(s, ·) from a one-state read equals s's row of any batched pass, bit
+    for bit, over env rollout states and every canonical state."""
+
+    @pytest.fixture(scope="class")
+    def env_data(self, catalog):
+        env = StagedEnv(StagedEnvConfig(seed=6), catalog=catalog)
+        transitions = collect_transitions(env, 40, seed=0)
+        states = [tr.state for tr in transitions] + [tr.next_state for tr in transitions if not tr.terminal]
+        canonical = [env.canonical_state(lat) for lat in env.to_tabular().latents]
+        assert len(canonical) == 960
+        return transitions, states + canonical
+
+    def test_q_all_equals_the_full_table_row(self, catalog, env_data):
+        _, states = env_data
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        table, rows = encode_states(scorer, states, catalog, None)
+        q = scorer.q_encoded(table, np.arange(len(table)), catalog)
+        np.testing.assert_array_equal(np.array([scorer.q_all(s, catalog) for s in states]), q[rows])
+
+    def test_select_strategy_equals_select_strategies_where_rounding_decides(self, catalog, env_data):
+        _, states = env_data
+        scorer = tied_scorer(catalog)
+        picks = scorer.select_strategies(states, catalog)
+        assert len(set(picks)) > 1  # the ties do not all fall to the smallest id
+        assert picks == [scorer.select_strategy(s, catalog) for s in states]
+
+    def test_td_target_equals_the_batch_target(self, catalog, env_data):
+        batch = env_data[0][:64]
+        scorer = MlpScorer(MlpConfig(n_actions=len(catalog)), seed=0)
+        targets = compute_targets(batch, scorer, catalog, None, 0.85)
+        singles = [td_target(tr.reward, tr.next_state, tr.terminal, scorer, catalog, None, 0.85) for tr in batch]
+        np.testing.assert_array_equal(targets, singles)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -80,7 +81,7 @@ class TestImitation:
         rewarded = imitation_rewards(dataset_transitions, catalog, seed=0)
         positives = [t for t in rewarded if t.reward == 1.0]
         for orig, pos in zip(dataset_transitions, positives):
-            assert pos == orig.with_reward(1.0)
+            assert pos == dataclasses.replace(orig, reward=1.0)
 
     def test_small_catalog_rejected(self, dataset_transitions):
         from supportq.core import Stage, Strategy, StrategyCatalog

@@ -1,7 +1,8 @@
 """The command-line pipeline: train, eval, simulate, and a discount sweep.
 
-Each command writes its artifacts plus a manifest under the output directory;
-identical configurations and seeds reproduce the artifacts byte for byte.
+Each command writes its artifacts plus its own manifest, `manifest_<command>.json`,
+under the output directory; identical configurations and seeds reproduce the
+artifacts byte for byte.
 """
 
 import json

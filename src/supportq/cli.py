@@ -3,8 +3,8 @@
 Subcommands: train, eval, sweep, simulate, ingest-stats.  Configuration
 comes from defaults, then an optional key=value config file, then
 SUPPORTQ_-prefixed environment variables, then CLI flags (flags win).
-Every command writes a manifest (config + input hashes) sufficient to
-reproduce it, and never mutates its input files.
+Every command writes a manifest, `manifest_<command>.json` (config + input
+hashes), sufficient to reproduce it, and never mutates its input files.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 training/eval
 failure.
@@ -214,7 +214,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, inputs: list[str]) -> None:
     _write_json(
-        out / "manifest.json",
+        out / f"manifest_{command}.json",
         {
             "command": command,
             "config": dataclasses.asdict(cfg),
@@ -417,6 +417,8 @@ def _sweep(cfg: RunConfig, out: Path, gammas: str) -> None:
         values = [float(x) for x in gammas.split(",") if x]
     except ValueError as exc:
         raise ConfigError(f"gammas: {exc}") from None
+    if not values:
+        raise ConfigError("gammas: no value given")
     subs = [dataclasses.replace(cfg, gamma=gamma, out_dir=str(out / f"gamma_{gamma:g}")) for gamma in values]
     for sub in subs:
         sub.validate()

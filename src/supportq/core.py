@@ -33,6 +33,11 @@ class Stage(Enum):
         """1/2/3 for the ordered stages, None for unstaged strategies."""
         return _STAGE_RANKS[self]
 
+    @property
+    def slot(self) -> int:
+        """Last-strategy slot: the rank, or 4 for unstaged (slot 0: no strategy yet)."""
+        return 4 if self.rank is None else self.rank
+
 
 _STAGE_RANKS = {Stage.I: 1, Stage.II: 2, Stage.III: 3, Stage.NONE: None}
 

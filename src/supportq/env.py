@@ -42,6 +42,7 @@ from .core import (
     Emotion,
     Episode,
     Speaker,
+    Stage,
     StrategyCatalog,
     Transition,
     Turn,
@@ -90,8 +91,8 @@ RESPONSE_TEMPLATES: dict[str, str] = {
     "Others": "Thank you for sharing that with me.",
 }
 
-# last-strategy slot: 0 = nothing yet, 1..3 = stage ranks, 4 = unstaged ("Others")
-LAST_SLOTS = (0, 1, 2, 3, 4)
+# last-strategy slot: 0 = nothing yet, then `Stage.slot` of the last strategy's stage
+LAST_SLOTS = (0, *sorted(stage.slot for stage in Stage))
 
 
 class EpisodeFinished(RuntimeError):
@@ -162,6 +163,7 @@ class StagedEnv:
             for adv in (config.match_advance_prob, config.mismatch_advance_prob)
         }
         self._rank = {s.id: s.stage.rank for s in self.catalog}
+        self._slot = {s.id: s.stage.slot for s in self.catalog}
         # lowest id per stage is the most effective strategy of that stage
         first_of_stage: dict[int, int] = {}
         self._effectiveness: dict[int, float] = {}
@@ -310,8 +312,7 @@ class StagedEnv:
         return self._state, reward, self._done
 
     def _last_slot(self, action: int) -> int:
-        rank = self._rank[action]
-        return rank if rank is not None else 4
+        return self._slot[action]
 
     # -- oracle-facing views ----------------------------------------------------
 

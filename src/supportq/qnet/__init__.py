@@ -1,8 +1,7 @@
 """Trainable Q-scorers over dialogue states.
 
-Two interchangeable backends implement the same operations (`q_value`,
-`q_all`, `select_strategy`, `grad_q`, `loss_and_grads`) as subclasses of the
-`Scorer` base in `base.py`.  Each computes Q(s, ·) for every action in one pass:
+Two interchangeable backends subclass the `Scorer` base in `base.py`, and
+each computes Q(s, ·) for every action in one pass:
 
 * `SeqScorer` -- a small causal transformer; Q(s, a) is the
   log-probability of the answer " (k)", the one token `(k)` that carries
@@ -11,12 +10,14 @@ Two interchangeable backends implement the same operations (`q_value`,
   first layer adds one weight row per action; faster, and exactly
   comparable against the oracle.
 
-Both are written in numpy with a hand-written backward.  Each also has an
-encoded path, which training runs: `encode` turns a state into a code once
-(seq: token ids, mlp: the feature row), and `q_encoded` and
-`loss_and_grads_encoded` work on rows of a table of distinct codes.
-`select_strategies`, which eval runs, decides a list of states with one
-`q_encoded` call over their distinct codes.
+A backend supplies only its math, in numpy with a hand-written backward:
+`encode`, a state's code (seq: token ids, mlp: the feature row);
+`q_encoded`, Q(s, ·) for rows of a table of distinct codes; and
+`_pullback`, the Q of (row, action) items and the gradient of Σ dq·Q.
+`Scorer` writes the rest once over those: `q_all`, `q_value`, `grad_q`,
+the squared TD loss `loss_and_grads_encoded`, which training runs,
+`loss_and_grads`, and greedy selection; eval decides its test set with one
+`q_encoded` call over the states' distinct codes (`select_strategies`).
 """
 
 from .checkpoint import load_scorer, save_scorer

@@ -1,18 +1,17 @@
 """Shared skeleton of the scorer backends.
 
-`Scorer` holds what both backends do the same way: seeded parameters checked
-against `param_specs(config)`, copies and state dicts, the finiteness check on
-Q(s, ·) and greedy selection.  A backend supplies `param_specs`, `encode`,
-the code of a state (mlp: its feature row, seq: its prompt's token ids), and
-the encoded path: `q_encoded`, Q(s, ·) for rows of a table of codes, and
-`loss_and_grads_encoded`, the squared TD error of (row, action, target)
-items with its gradient, differentiated by hand.  `encode_states` builds that
-table.  `select_strategies` decides a list of states on the encoded path:
-one `q_encoded` call over their distinct codes, the smallest-id argmax of
-each row, mapped back to the states; eval decides its test set this way.
-`q_value`, `q_all`, `grad_q` and `loss_and_grads` take states; they
-stay per class, where perfbench's tracer wraps them, and run `encode`, then
-the forward and backward that the encoded path runs.
+A backend supplies its own math: `param_specs`; `encode`, the code of a
+state (mlp: its feature row, seq: its prompt's token ids); `q_encoded`,
+Q(s, ·) for rows of a table of codes, which `encode_states` builds; and
+`_pullback`, the Q of (row, action) items and the gradient of Σ dq·Q,
+differentiated by hand.  `Scorer` writes the rest once: seeded parameters,
+copies and state dicts, the finiteness check on Q, `q_all` and `q_value`
+(one row of a one-row `q_encoded`), `grad_q` (the pullback with dq = 1),
+the squared TD loss `loss_and_grads_encoded` (dq = (Q - target) · 2 / B)
+and its state-taking form `loss_and_grads`, and greedy selection.
+`select_strategies` decides a list of states with one `q_encoded` call over
+their distinct codes, the smallest-id argmax of each row mapped back to the
+states; eval decides its test set this way.
 
 A backend's Q(s, ·) is one function of s: from any read (`q_all`,
 `q_value`, `select_strategy`) it equals s's row of any `q_encoded` call,
@@ -31,6 +30,8 @@ import numpy as np
 
 # (name, shape, init): init is "zero", "one", or the scale of a uniform(-scale, scale) weight
 ParamSpec = tuple[str, tuple[int, ...], Union[str, float]]
+
+_ROW = np.zeros(1, dtype=np.intp)  # the one row of a one-state table
 
 
 def init_params(specs: list[ParamSpec], seed: int, dtype) -> dict[str, np.ndarray]:
@@ -120,20 +121,54 @@ class Scorer:
     def config_dict(self) -> dict:
         return asdict(self.config)
 
-    def _encode_items(self, items, catalog, vocab):
-        """(state, action, target) items as (table, rows, actions, targets)."""
-        if not items:
-            raise ValueError("empty batch")
-        table, rows = encode_states(self, [s for s, _, _ in items], catalog, vocab)
-        actions = np.array([catalog.by_id(a).id for _, a, _ in items])
-        targets = np.array([t for _, _, t in items], dtype=np.float64)
-        return table, rows, actions, targets
-
     @staticmethod
     def _finite(values: np.ndarray) -> np.ndarray:
         if not np.isfinite(values).all():
             raise FloatingPointError("non-finite Q value")
         return values
+
+    def _pullback(self, table, rows, actions, dq_of, catalog, vocab=None):
+        """Q of each item (`table[row]`, action), shape (len(rows),), and the
+        gradient of Σ dq·Q with respect to every parameter, where
+        `dq_of(q, items)` gives the dq of the items `items` indexes once a
+        pass has computed their Q `q`."""
+        raise NotImplementedError
+
+    def _q_row(self, state, catalog, vocab) -> np.ndarray:
+        """Q(state, ·), read by both `q_all` and `q_value`, so a `q_value` call is no `q_all` call."""
+        return self.q_encoded(self.encode(state, catalog, vocab)[None], _ROW, catalog, vocab)[0]
+
+    def q_all(self, state, catalog, vocab=None) -> np.ndarray:
+        return self._q_row(state, catalog, vocab)
+
+    def q_value(self, state, action: int, catalog, vocab=None) -> float:
+        catalog.by_id(action)
+        return float(self._q_row(state, catalog, vocab)[action - 1])
+
+    def grad_q(self, state, action: int, catalog, vocab=None) -> dict[str, np.ndarray]:
+        """Analytic gradient of q_value with respect to every parameter."""
+        catalog.by_id(action)
+        table = self.encode(state, catalog, vocab)[None]
+        return self._pullback(table, _ROW, np.array([action]), lambda q, n: np.ones_like(q), catalog, vocab)[1]
+
+    def loss_and_grads_encoded(
+        self, table, rows, actions: np.ndarray, targets: np.ndarray, catalog, vocab=None
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean squared TD error of the items (table[row], action, target) and
+        its gradient, from one pullback with dq = (Q - target) (2 / B)."""
+        scale = 2.0 / len(rows)
+        q, grads = self._pullback(table, rows, actions, lambda q, n: (q - targets[n]) * scale, catalog, vocab)
+        diff = self._finite(q) - targets
+        return float((diff * diff).mean()), grads
+
+    def loss_and_grads(self, items, catalog, vocab=None) -> tuple[float, dict[str, np.ndarray]]:
+        """`loss_and_grads_encoded` of (state, action, target) items."""
+        if not items:
+            raise ValueError("empty batch")
+        table, rows = encode_states(self, [s for s, _, _ in items], catalog, vocab)
+        actions = np.array([catalog.by_id(a).id for _, a, _ in items])
+        targets = np.array([t for _, _, t in items], dtype=np.float64)
+        return self.loss_and_grads_encoded(table, rows, actions, targets, catalog, vocab)
 
     def select_strategy(self, state, catalog, vocab=None) -> int:
         return argmax_smallest_id(self.q_all(state, catalog, vocab))

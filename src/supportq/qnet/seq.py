@@ -23,12 +23,12 @@ MLP pre-activation, its tanh and the GELU output.  `_backward` walks those
 blocks in reverse by hand, one small function per block, as llm.c's
 `gpt2_backward` does; `_attn_backward` walks the forward's tiles, so its
 four score-sized matmuls skip the masked half too.  A state's code
-(`encode`) is BOS + its windowed prompt.  `grad_q` and
-`loss_and_grads_encoded` make one cached pass and one backward per distinct
-code, and a state's activations are dropped before the next state's pass,
-so memory does not grow with the batch.  The gradients are checked against
-an autodiff-tape transformer and central finite differences in the test
-suite.
+(`encode`) is BOS + its windowed prompt.  `_pullback`, which `Scorer`'s
+`grad_q` and TD loss run on, makes one cached pass and one backward per
+distinct code, and a state's activations are dropped before the next
+state's pass, so memory does not grow with the batch.  The gradients are
+checked against an autodiff-tape transformer and central finite
+differences in the test suite.
 
 The workspace.  A pass's large arrays -- the packed score tiles, the MLP's
 pre-activation, tanh and GELU output, and the backward's score-gradient
@@ -40,13 +40,16 @@ records the pass's stamp, `_backward` raises if another pass has run since,
 and a cache serves one backward, which builds the GELU slope in the MLP's
 buffers.  Twins must not run passes on two threads at once.
 
-The bit contract.  `q_all` equals `q_value` bit for bit.  Against the dense
-reference in the test suite (the full score square with the future half
-overwritten), `q_all` agrees to within 1e-12, not bit for bit: a tile's
-q·kᵀ can round differently from the full product's, and a shorter row sum
-adds in a different order.  A pass of at most `_TILE` rows is one tile and
-matches the reference bit for bit; the MLP's in-place buffers repeat the
-dense operations in the same order.
+The bit contract.  `q_all` and `q_value` read one row of a one-row
+`q_encoded`, which equals that code's row of any `q_encoded` call.  A row's
+TD dQ is the sum, by `np.add.at` in item order, of its items'
+(Q[a - 1] - target) · (2 / B).  Against the dense reference in the test
+suite (the full score square with the future half overwritten), `q_all`
+agrees to within 1e-12, not bit for bit: a tile's q·kᵀ can round
+differently from the full product's, and a shorter row sum adds in a
+different order.  A pass of at most `_TILE` rows is one tile and matches
+the reference bit for bit; the MLP's in-place buffers repeat the dense
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -407,7 +410,7 @@ class SeqScorer(Scorer):
     def _zero_grads(self) -> dict[str, np.ndarray]:
         return {n: np.zeros_like(a) for n, a in self.params.items()}
 
-    # -- Q interface ----------------------------------------------------------
+    # -- encoded path ---------------------------------------------------------
 
     def q_encoded(self, table, rows, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
         """(len(rows), K) Q values of the codes `table[rows]`, one pass per
@@ -420,52 +423,25 @@ class SeqScorer(Scorer):
             out[n] = seen[row]
         return out
 
-    def q_value(
-        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> float:
-        catalog.by_id(action)
-        return float(self._q(self.encode(state, catalog, vocab), catalog, vocab)[action - 1])
-
-    def q_all(self, state: DialogueState, catalog: StrategyCatalog, vocab: Vocabulary) -> np.ndarray:
-        return self.q_encoded([self.encode(state, catalog, vocab)], [0], catalog, vocab)[0]
-
-    def grad_q(
-        self, state: DialogueState, action: int, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> dict[str, np.ndarray]:
-        """Analytic gradient of q_value with respect to every parameter."""
-        catalog.by_id(action)
-        cache: list = []
-        dq = np.zeros_like(self._q(self.encode(state, catalog, vocab), catalog, vocab, cache))
-        dq[action - 1] = 1.0
-        return self._backward(cache, dq, self._zero_grads())
-
-    def loss_and_grads_encoded(
-        self, table, rows, actions: np.ndarray, targets: np.ndarray, catalog: StrategyCatalog, vocab: Vocabulary
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean squared TD error of the items (table[row], action, target) and
-        its gradient.  Items that share a row share one forward and one
-        backward pass, with dQ = sum of 2 (Q[a - 1] - target) / B over them."""
+    def _pullback(self, table, rows, actions: np.ndarray, dq_of, catalog: StrategyCatalog, vocab: Vocabulary):
+        """One cached forward and one backward per distinct row.  A row's
+        items get their dq from one `dq_of` call, and `np.add.at` sums them,
+        in item order, into the row's K-vector dQ before its backward."""
         by_row: dict[int, list[int]] = {}
         for n, row in enumerate(rows):
             by_row.setdefault(row, []).append(n)
         grads = self._zero_grads()
-        errors: list = [None] * len(rows)
+        q = np.empty(len(rows))
         for row, members in by_row.items():
             cache: list = []
-            q = self._q(table[row], catalog, vocab, cache)
-            dq = np.zeros_like(q)
-            for n in members:
-                diff = q[actions[n] - 1] - float(targets[n])
-                errors[n] = diff**2.0
-                dq[actions[n] - 1] += 2.0 * diff / len(rows)
+            q_row = self._q(table[row], catalog, vocab, cache)
+            items = np.array(members)
+            picks = actions[items] - 1
+            q[items] = q_row[picks]
+            dq = np.zeros_like(q_row)
+            np.add.at(dq, picks, dq_of(q[items], items))
             self._backward(cache, dq, grads)
-        loss = sum(errors[1:], errors[0]) * (1.0 / len(rows))
-        return float(loss), grads
+        return q, grads
 
-    def loss_and_grads(
-        self,
-        items: list[tuple[DialogueState, int, float]],
-        catalog: StrategyCatalog,
-        vocab: Vocabulary,
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        return self.loss_and_grads_encoded(*self._encode_items(items, catalog, vocab), catalog, vocab)
+    # perfbench's tracer wraps entries of the class's own __dict__
+    q_all, q_value, loss_and_grads = Scorer.q_all, Scorer.q_value, Scorer.loss_and_grads

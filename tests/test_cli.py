@@ -143,9 +143,9 @@ class TestTrainCommand:
     def test_env_imitation_produces_artifacts(self, tmp_path):
         out = tmp_path / "run"
         train(out)
-        for name in ("checkpoint.npz", "loss.csv", "vocab.txt", "manifest.json"):
+        for name in ("checkpoint.npz", "loss.csv", "vocab.txt", "manifest_train.json"):
             assert (out / name).exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest_train.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["config"]["gamma"] == 0.85
 
@@ -180,7 +180,7 @@ class TestTrainCommand:
         rc = main(["train", "--mode", "dataset", "--dataset-path", str(corpus),
                    "--reward", "distill", "--epochs", "1", "--out-dir", str(out), "--seed", "3"])
         assert rc == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest_train.json").read_text())
         assert str(corpus) in manifest["inputs"]
 
     def test_dataset_episode_without_a_decision_is_data_error(self, tmp_path, capsys):
@@ -231,6 +231,16 @@ class TestEvalCommand:
                     "rouge_l", "distinct2", "cider", "confusion", "transition"):
             assert key in report
         assert len(report["confusion"]) == 8
+
+    def test_each_command_keeps_its_own_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        ckpt = train(out)
+        for command, extra in (("eval", []), ("simulate", ["--episodes", "5"])):
+            rc = main([command, "--mode", "env", "--checkpoint", str(ckpt), "--out-dir", str(out), *TINY, *extra])
+            assert rc == 0
+        for command in ("train", "eval", "simulate"):
+            assert json.loads((out / f"manifest_{command}.json").read_text())["command"] == command
+        assert not (out / "manifest.json").exists()
 
     def test_per_strategy_supports_sum_to_n(self, tmp_path):
         out = tmp_path / "run"
@@ -384,6 +394,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not list(out.glob("gamma_*")) and not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("gammas", ["", ","])
+    def test_empty_gamma_list_is_a_config_error(self, tmp_path, capsys, gammas):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--mode", "env", "--gammas", gammas, "--out-dir", str(out), *TINY])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: gammas")
+        assert not (out / "sweep.csv").exists() and not list(out.glob("manifest*"))
 
 
 class TestSimulateCommand:

@@ -94,3 +94,41 @@ def test_seq_codes_of_several_lengths_stay_a_list(seq_scorer, states, catalog, s
     assert isinstance(table, list) and len({len(code) for code in table}) > 1
     for state, row in zip(states, rows):
         np.testing.assert_array_equal(table[row], seq_scorer.encode(state, catalog, small_vocab))
+
+
+NAN_BIAS = {"seq_scorer": "head.b", "mlp_scorer": "layers.0.b"}
+
+
+@pytest.mark.parametrize("fixture", BACKENDS)
+class TestNonFiniteQ:
+    """A NaN in one bias makes every Q read and the TD loss raise."""
+
+    @pytest.fixture
+    def broken(self, request, fixture):
+        scorer = request.getfixturevalue(fixture).clone()
+        scorer.params[NAN_BIAS[fixture]][0] = np.nan
+        return scorer
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, st, c, v: s.q_all(st, c, v),
+            lambda s, st, c, v: s.q_value(st, 2, c, v),
+            lambda s, st, c, v: s.select_strategy(st, c, v),
+            lambda s, st, c, v: s.select_strategies([st, st], c, v),
+            lambda s, st, c, v: s.loss_and_grads([(st, 2, 0.5), (st, 3, -0.5)], c, v),
+        ],
+        ids=["q_all", "q_value", "select_strategy", "select_strategies", "loss_and_grads"],
+    )
+    def test_raises(self, broken, call, tiny_state, catalog, small_vocab):
+        with pytest.raises(FloatingPointError, match="non-finite Q value"):
+            call(broken, tiny_state, catalog, small_vocab)
+
+    def test_q_value_reads_the_row_without_q_all(
+        self, request, fixture, tiny_state, catalog, small_vocab, monkeypatch
+    ):
+        """perfbench counts q_all and q_value calls apart."""
+        scorer = request.getfixturevalue(fixture)
+        row = scorer.q_all(tiny_state, catalog, small_vocab)
+        monkeypatch.setattr(type(scorer), "q_all", None)
+        assert [scorer.q_value(tiny_state, a, catalog, small_vocab) for a in catalog.ids] == row.tolist()

@@ -13,7 +13,6 @@ import numpy as np
 from supportq import (
     StagedEnv,
     SyntheticJudge,
-    affine_unit_mapping,
     default_catalog,
     derive_transitions,
     distill_rewards,
@@ -41,8 +40,3 @@ print(f"\ndistillation: mean judge score {scores.mean():.3f}, median {np.median(
 print("score histogram:")
 for score in sorted(hist):
     print(f"  {score}: {'#' * (hist[score] // 8)} {hist[score]}")
-
-to_unit = affine_unit_mapping(judge.scale)
-remapped = distill_rewards(transitions[:3], judge, mapping=to_unit)
-print("\noptional affine remap to [-1, 1]:",
-      [round(t.reward, 3) for t in remapped])

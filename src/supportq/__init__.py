@@ -28,7 +28,6 @@ from .encoding import (
     Vocabulary,
     build_vocab,
     encode_pair,
-    render_judge_prompt,
     render_mcq,
 )
 from .env import (
@@ -72,10 +71,7 @@ from .qnet import (
     save_scorer,
 )
 from .rewards import (
-    RemoteJudge,
-    RemoteJudgeConfig,
     SyntheticJudge,
-    affine_unit_mapping,
     distill_rewards,
     imitation_rewards,
 )

@@ -116,6 +116,9 @@ class RunConfig:
             raise ConfigError("dataset mode needs dataset_path")
         if self.window <= 0:
             raise ConfigError("window must be positive")
+        for name in ("rollout_episodes", "demo_episodes", "eval_episodes"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.vocab_max_size < MIN_VOCAB_SIZE:
             raise ConfigError(f"vocab_max_size must be at least {MIN_VOCAB_SIZE}")
         if not 0.0 <= self.demo_fidelity <= 1.0:
@@ -499,7 +502,7 @@ def _simulate(cfg: RunConfig, out: Path, checkpoint: str, n_episodes: int) -> No
         )
 
 
-def _ingest_stats(cfg: RunConfig, out: Optional[Path], data: str, fmt: str) -> None:
+def _ingest_stats(cfg: RunConfig, out: Path, data: str, fmt: str) -> None:
     if fmt == "esconv":
         episodes = load_esconv(data)
     else:
@@ -507,9 +510,8 @@ def _ingest_stats(cfg: RunConfig, out: Optional[Path], data: str, fmt: str) -> N
     stats = corpus_stats(episodes)
     payload = stats.to_dict()
     print(json.dumps(payload, indent=1, sort_keys=True))
-    if out is not None:
-        _write_json(out / "stats.json", payload)
-        _write_manifest(out, "ingest-stats", cfg, [data])
+    _write_json(out / "stats.json", payload)
+    _write_manifest(out, "ingest-stats", cfg, [data])
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -520,8 +522,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", dest="out_dir")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--gamma", type=float)
-    parser.add_argument("--mode", choices=["env", "dataset"])
-    parser.add_argument("--env", dest="mode_alias", choices=["staged"], help="shorthand for --mode env")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--mode", choices=["env", "dataset"])
+    mode.add_argument("--env", dest="mode_alias", choices=["staged"], help="shorthand for --mode env")
     parser.add_argument("--backend", choices=["mlp", "seq"])
     parser.add_argument("--reward", choices=["imit", "distill", "env"])
     parser.add_argument("--dataset-path", dest="dataset_path")

@@ -83,29 +83,6 @@ def render_mcq(state: DialogueState, catalog: StrategyCatalog) -> str:
     )
 
 
-def render_judge_prompt(state: DialogueState, response: str) -> str:
-    """Prompt for an external judge scoring a supporter reply 1..5."""
-    return (
-        "You are a psychological consultant providing support to a seeker. "
-        "The seeker's basic situation is as follows:\n"
-        f"Emotion: {state.emotion.render()}\n"
-        f"Description: {state.description}\n"
-        "\n"
-        "Below is the conversation history between the seeker and the supporter:\n"
-        f"{render_history(state.history)}\n"
-        "\n"
-        "The seeker's current query is:\n"
-        f"{state.query}\n"
-        "\n"
-        "Please evaluate whether the response is appropriate:\n"
-        f"{response}\n"
-        "Based on the information above, evaluate whether the response is suitable. "
-        "Please remember to respond with a single integer number from 1 to 5, "
-        'where 1 indicates "not suitable" and 5 indicates "very suitable". '
-        "Please also provide a brief explanation of your decision."
-    )
-
-
 class Vocabulary:
     """Token table: 3 specials, 256 byte-fallback ids, then word tokens.
 

@@ -118,6 +118,10 @@ class TestConfig:
             {"split_ratio": 2.0},
             {"split_ratio": 0.0},
             {"split_ratio": 1.0},
+            {"rollout_episodes": 0},
+            {"demo_episodes": 0},
+            {"demo_episodes": -3},
+            {"eval_episodes": 0},
         ):
             with pytest.raises(ConfigError):
                 load_run_config(overrides=overrides)
@@ -171,6 +175,15 @@ class TestTrainCommand:
                    "--out-dir", str(out), *TINY])
         assert rc == 0
         assert (out / "checkpoint.npz").exists()
+
+    def test_env_staged_conflicts_with_mode_dataset(self, tmp_path, capsys):
+        # --env staged means --mode env; with --mode dataset beside it, the run would not be the one the flags name
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--mode", "dataset", "--env", "staged", "--dataset-path", "nofile",
+                  "--out-dir", str(tmp_path / "run"), *TINY])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_dataset_mode_round_trip(self, tmp_path, catalog):
         env = StagedEnv(StagedEnvConfig(seed=9), catalog=catalog)

@@ -19,7 +19,6 @@ from supportq.encoding import (
     Vocabulary,
     build_vocab,
     encode_pair,
-    render_judge_prompt,
     render_mcq,
 )
 
@@ -67,11 +66,6 @@ class TestRenderMcq:
 
     def test_rendering_is_pure(self, tiny_state, catalog):
         assert render_mcq(tiny_state, catalog) == render_mcq(tiny_state, catalog)
-
-    def test_judge_prompt_asks_for_integer(self, tiny_state):
-        text = render_judge_prompt(tiny_state, "You can do it.")
-        assert "You can do it." in text
-        assert "single integer number from 1 to 5" in text
 
 
 # text pieces: table words, single spaces, longer and Unicode whitespace runs,

@@ -207,6 +207,10 @@ def _modules_after_importing_the_cli(names):
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # env's Policy alias names np.random.Generator as a string: evaluating it at import loads numpy.random;
-    # and no command talks HTTP, so none should pay the ~20 ms of importing urllib
-    assert _modules_after_importing_the_cli(["numpy.random", "urllib.request"]) == "[False, False]"
+    # env's Policy alias names np.random.Generator as a string: evaluating it at import loads numpy.random
+    assert _modules_after_importing_the_cli(["numpy.random"]) == "[False]"
+
+
+def test_cli_import_leaves_urllib_to_the_remote_judge():
+    # no command talks HTTP, so none should pay the ~20 ms of importing urllib
+    assert _modules_after_importing_the_cli(["urllib.request"]) == "[False]"
